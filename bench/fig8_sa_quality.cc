@@ -54,7 +54,7 @@ KnownInstance make_known(int n, int m, std::uint64_t seed) {
     }
   }
   core::EnergyEfficiencyObjective obj;
-  inst.optimum = core::evaluate_allocation(inst.s, inst.p, obj, inst.matched);
+  inst.optimum = core::evaluate_allocation({inst.s, inst.p}, obj, inst.matched);
   return inst;
 }
 
@@ -95,11 +95,11 @@ int main(int argc, char** argv) {
       cfg.max_iterations = iters;
       cfg.seed = opt.seed ^ (static_cast<std::uint64_t>(r) << 8);
       const auto res =
-          core::SaOptimizer(cfg).optimize(inst.s, inst.p, obj, initial);
+          core::SaOptimizer(cfg).optimize({inst.s, inst.p}, obj, initial);
       distance.add(100.0 * (inst.optimum - res.objective) / inst.optimum);
       // Cross-check the known optimum by brute force where feasible.
       if (r == 0 && m <= 8 && n <= 4) {
-        const auto brute = core::exhaustive_optimum(inst.s, inst.p, obj);
+        const auto brute = core::exhaustive_optimum({inst.s, inst.p}, obj);
         verified = brute.objective <= inst.optimum + 1e-9;
       }
     }

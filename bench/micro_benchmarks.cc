@@ -4,7 +4,8 @@
 // and a full simulated epoch.
 //
 // After the google-benchmark suite runs, main() measures the SA optimizer
-// on the Fig. 7 scalability extremes and writes BENCH_sa.json — the
+// on the Fig. 7 scalability extremes and the predict phase
+// (build_characterization) at 1024 cores and writes BENCH_sa.json — the
 // machine-readable perf-trajectory point this repo commits per PR (see
 // EXPERIMENTS.md "Hot-path performance") — then measures the observability
 // hooks' epoch-pass overhead and writes BENCH_obs.json. Pass
@@ -21,9 +22,11 @@
 
 #include "alloc_hook.h"
 #include "arch/platform.h"
+#include "arch/platform_loader.h"
 #include "bench_json.h"
 #include "common/fixed_math.h"
 #include "common/rng.h"
+#include "core/char_matrix.h"
 #include "core/objective.h"
 #include "core/sa_optimizer.h"
 #include "core/smart_balance.h"
@@ -96,7 +99,7 @@ void BM_SaOptimize(benchmark::State& state) {
   cfg.max_iterations = 1000;
   core::SaOptimizer opt(cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(opt.optimize(s, p, obj, init));
+    benchmark::DoNotOptimize(opt.optimize({s, p}, obj, init));
   }
   state.counters["ns/iter"] = benchmark::Counter(
       1000.0 * static_cast<double>(state.iterations()),
@@ -119,6 +122,53 @@ void BM_PredictIpc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PredictIpc);
+
+/// The predict phase's inputs: a trained model for `platform` and one
+/// synthesized observation per thread, threads striped over the cores and
+/// cycling through the training profiles.
+struct PredictInputs {
+  core::PredictorModel model;
+  std::vector<core::ThreadObservation> observations;
+};
+
+PredictInputs predict_inputs(const arch::Platform& platform, int threads) {
+  const perf::PerfModel perf(platform);
+  const power::PowerModel power(platform, perf);
+  const core::PredictorTrainer trainer(perf, power);
+  const auto profiles = core::PredictorTrainer::default_training_profiles();
+  PredictInputs in{trainer.train(profiles), {}};
+  Rng rng(11);
+  for (int i = 0; i < threads; ++i) {
+    const auto core = static_cast<CoreId>(i % platform.num_cores());
+    auto o = trainer.synthesize_observation(
+        profiles[static_cast<std::size_t>(i) % profiles.size()],
+        platform.type_of(core), rng);
+    o.tid = i;
+    o.core = core;
+    in.observations.push_back(o);
+  }
+  return in;
+}
+
+/// Quad (Arg 4: 4 cores, 8 threads) or the 1024-core gen:32x96:8 shape
+/// (Arg 1024: 2048 threads).
+arch::Platform predict_platform(int cores) {
+  return cores == 4 ? arch::Platform::quad_heterogeneous()
+                    : arch::generate_platform("32x96:8");
+}
+
+void BM_BuildCharacterization(benchmark::State& state) {
+  const auto platform = predict_platform(static_cast<int>(state.range(0)));
+  const auto in = predict_inputs(platform, 2 * platform.num_cores());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::build_characterization(in.observations, in.model, platform));
+  }
+}
+BENCHMARK(BM_BuildCharacterization)
+    ->Arg(4)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_IntervalModelEvaluate(benchmark::State& state) {
   const perf::IntervalModel m;
@@ -237,13 +287,13 @@ SaPoint measure_sa_point(int n, int m, const core::BalanceObjective& obj) {
 
   // Warmup grows the scratch arena to the problem size; the timed region
   // then shows the steady-state (zero-allocation) cost.
-  (void)opt.optimize(s, p, obj, initial, nullptr, &demand);
+  (void)opt.optimize({s, p}, obj, initial, nullptr, &demand);
   constexpr int kReps = 30;
   const std::uint64_t a0 = bench::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
   double sink = 0;
   for (int r = 0; r < kReps; ++r) {
-    sink += opt.optimize(s, p, obj, initial, nullptr, &demand).objective;
+    sink += opt.optimize({s, p}, obj, initial, nullptr, &demand).objective;
   }
   const auto t1 = std::chrono::steady_clock::now();
   const std::uint64_t a1 = bench::alloc_count();
@@ -277,6 +327,49 @@ void emit_sa_point(bench::Json& j, const std::string& key, const SaPoint& pt,
   j.end_object();
 }
 
+struct PredictPoint {
+  int num_cores = 0;
+  int num_threads = 0;
+  std::size_t num_groups = 0;
+  double total_us = 0;  // best call of kReps
+  double allocs_per_call = 0;
+};
+
+/// The predict phase at 1024 cores × 2048 threads (gen:32x96:8): one
+/// build_characterization call per rep, best-of timing. Storing S/P as
+/// thread × column group keeps this tens of microseconds; a dense m×n
+/// broadcast costs milliseconds here and fails the total_us gate.
+PredictPoint measure_predict_point() {
+  const auto platform = predict_platform(1024);
+  const auto in = predict_inputs(platform, 2 * platform.num_cores());
+  PredictPoint out;
+  out.num_cores = platform.num_cores();
+  out.num_threads = static_cast<int>(in.observations.size());
+  out.num_groups =
+      core::build_characterization(in.observations, in.model, platform)
+          .num_groups();
+  constexpr int kReps = 50;
+  double best_ns = std::numeric_limits<double>::infinity();
+  std::uint64_t allocs = 0;
+  for (int r = 0; r < kReps; ++r) {
+    const std::uint64_t a0 = bench::alloc_count();
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto mx =
+        core::build_characterization(in.observations, in.model, platform);
+    const auto t1 = std::chrono::steady_clock::now();
+    allocs += bench::alloc_count() - a0;
+    benchmark::DoNotOptimize(mx.s.data());
+    best_ns = std::min(
+        best_ns,
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                .count()));
+  }
+  out.total_us = best_ns / 1e3;
+  out.allocs_per_call = static_cast<double>(allocs) / kReps;
+  return out;
+}
+
 void emit_bench_sa_json() {
   // Pre-PR numbers measured on the same machine at -O2 -DNDEBUG (commit
   // b792c4d, 30 reps, identical workload); the acceptance bar for this
@@ -290,6 +383,7 @@ void emit_bench_sa_json() {
   const SaPoint large = measure_sa_point(128, 256, ee);
   const SaPoint quad = measure_sa_point(4, 8, ee);
   const SaPoint large_virtual = measure_sa_point(128, 256, custom);
+  const PredictPoint predict = measure_predict_point();
 
   bench::Json j;
   j.begin_object()
@@ -297,7 +391,9 @@ void emit_bench_sa_json() {
       .field("description",
              "SA optimizer throughput on the Fig. 7 scalability extremes; "
              "fixed synthetic workload, EnergyEfficiencyObjective, seed 42, "
-             "auto iteration budget, 30 reps after 1 warmup")
+             "auto iteration budget, 30 reps after 1 warmup; predict_1024: "
+             "build_characterization on gen:32x96:8 with 2048 synthesized "
+             "observations, best of 50 calls")
       .field("build", "-O2 -DNDEBUG")
       .field("baseline_commit", "b792c4d")
       .field("baseline_note",
@@ -308,6 +404,17 @@ void emit_bench_sa_json() {
   emit_sa_point(j, "quad", quad, kBaselineQuadNsPerIter,
                 kBaselineAllocsPerCall);
   emit_sa_point(j, "fig7_large_custom_objective", large_virtual, 0, 0);
+  j.begin_object("predict_1024")
+      .field("num_cores", predict.num_cores)
+      .field("num_threads", predict.num_threads)
+      .field("num_groups", static_cast<int>(predict.num_groups))
+      .field("total_us", predict.total_us)
+      .field("allocs_per_call", predict.allocs_per_call)
+      // A best-of-50 ~80 us call still varies ~30 % run to run on one
+      // host; the regression this section exists to catch, a dense m×n
+      // broadcast coming back, costs ~200x.
+      .field("max_regress", 1.0)
+      .end_object();
   j.end_object();
   j.write("BENCH_sa.json");
 }

@@ -31,6 +31,8 @@ class Matrix {
   double at(std::size_t r, std::size_t c) const;
   double& operator()(std::size_t r, std::size_t c) { return at(r, c); }
   double operator()(std::size_t r, std::size_t c) const { return at(r, c); }
+  /// Row-major storage (rows() × cols() values, unchecked).
+  const double* data() const { return data_.data(); }
 
   Matrix transposed() const;
   Matrix operator*(const Matrix& rhs) const;

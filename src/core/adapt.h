@@ -30,10 +30,9 @@
 // bit-identical across --jobs=1/8. Adaptation defaults off; all goldens are
 // untouched unless a config opts in.
 //
-// Interaction with the prediction cache: bias/gain is applied as a
-// post-pass over the built S/P matrices, so cached rows stay *raw* and
-// remain valid; RLS rewrites Θ every epoch, which would serve stale cached
-// rows, so the policy disables row reuse while tier 2 is active.
+// Bias/gain is applied as a post-pass over the built S/P column-group
+// cells (one multiplier per (source type, cell type) pair), keeping a raw
+// copy so forecasts are scored against the uncorrected Eq. 8 output.
 #pragma once
 
 #include <array>

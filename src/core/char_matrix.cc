@@ -1,7 +1,6 @@
 #include "core/char_matrix.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -9,61 +8,15 @@
 
 namespace sb::core {
 
-namespace {
-
-/// Fingerprint of the row-shaping context for the prediction cache: column
-/// count plus each column's effective frequency and power scale (nominal,
-/// or the current DVFS operating point). FNV-1a over the raw bit patterns.
-std::uint64_t context_signature(
-    const arch::Platform& platform, std::size_t n,
-    const std::vector<arch::OperatingPoint>* core_opps) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int b = 0; b < 64; b += 8) {
-      h ^= (v >> b) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(n));
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto c = static_cast<CoreId>(j);
-    double freq = platform.params_of(c).freq_mhz;
-    double vdd = 0.0;
-    if (core_opps) {
-      freq = (*core_opps)[j].freq_mhz;
-      vdd = (*core_opps)[j].vdd;
-    }
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(freq));
-    std::memcpy(&bits, &freq, sizeof(bits));
-    mix(bits);
-    std::memcpy(&bits, &vdd, sizeof(bits));
-    mix(bits);
-    mix(static_cast<std::uint64_t>(platform.type_of(c)));
-  }
-  return h;
-}
-
-}  // namespace
-
 CharacterizationMatrices build_characterization(
     const std::vector<ThreadObservation>& observations,
     const PredictorModel& predictor, const arch::Platform& platform,
-    const std::vector<arch::OperatingPoint>* core_opps,
-    PredictionCache* cache) {
+    const std::vector<arch::OperatingPoint>* core_opps) {
   const std::size_t m = observations.size();
   const auto n = static_cast<std::size_t>(platform.num_cores());
   if (core_opps && core_opps->size() != n) {
     throw std::invalid_argument("build_characterization: opp vector size");
   }
-  CharacterizationMatrices out;
-  out.s = Matrix(m, n);
-  out.p = Matrix(m, n);
-  out.tids.reserve(m);
-  out.current.reserve(m);
-
-  const std::uint64_t context_sig =
-      cache ? context_signature(platform, n, core_opps) : 0;
 
   const auto freq_of = [&](CoreId c) {
     return core_opps ? (*core_opps)[static_cast<std::size_t>(c)].freq_mhz
@@ -80,11 +33,8 @@ CharacterizationMatrices build_characterization(
 
   // A row's cell depends on the column only through (core type, effective
   // frequency, power scale), so columns sharing that triple share one
-  // (gips, watts) value. Group them once per call and run the Θ fan-out
-  // once per group per thread instead of once per column: on a 1024-core
-  // big.LITTLE with DVFS off that is 2 predictor evaluations per thread
-  // instead of 1024, with bit-identical output (the per-cell arithmetic is
-  // a pure function of the grouped inputs, compared by bit pattern).
+  // (gips, watts) value: group them once per call (compared by bit
+  // pattern) and run the Θ fan-out once per group per thread.
   struct ColumnGroup {
     CoreTypeId type;
     double dst_freq;
@@ -93,7 +43,9 @@ CharacterizationMatrices build_characterization(
     std::uint64_t scale_bits;
   };
   std::vector<ColumnGroup> groups;
-  std::vector<std::size_t> group_of(n);
+  groups.reserve(static_cast<std::size_t>(platform.num_types()));
+  CharacterizationMatrices out;
+  out.group_of.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const auto c = static_cast<CoreId>(j);
     ColumnGroup g;
@@ -109,44 +61,30 @@ CharacterizationMatrices build_characterization(
       ++gi;
     }
     if (gi == groups.size()) groups.push_back(g);
-    group_of[j] = gi;
+    out.group_of[j] = static_cast<std::uint32_t>(gi);
   }
-  std::vector<std::array<double, 2>> group_vals(groups.size());
+  const std::size_t num_groups = groups.size();
+  out.group_type.reserve(num_groups);
+  for (const ColumnGroup& g : groups) out.group_type.push_back(g.type);
+  out.s = Matrix(m, num_groups);
+  out.p = Matrix(m, num_groups);
+  out.tids.reserve(m);
+  out.current.reserve(m);
 
   for (std::size_t i = 0; i < m; ++i) {
     const ThreadObservation& o = observations[i];
     out.tids.push_back(o.tid);
     out.current.push_back(o.core);
 
-    // Cache consult: rows are stored/served whole, so a hit skips the
-    // entire per-thread fan-out (Matrix is row-major — &at(i, 0) is the
-    // contiguous n-column row).
-    PredictionCache::Key key;
-    if (cache) {
-      key = cache->make_key(o, context_sig);
-      if (n > 0 &&
-          cache->lookup(o.tid, key, n, &out.s.at(i, 0), &out.p.at(i, 0))) {
-        continue;
-      }
-    }
-
     // Unmeasured threads (never ran long enough): neutral prior — assume a
     // modest IPC everywhere so the optimizer parks them on efficient cores
     // until real measurements arrive.
     if (!o.measured && o.instructions == 0) {
-      for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (std::size_t g = 0; g < num_groups; ++g) {
         const ColumnGroup& cg = groups[g];
         const double ipc = 0.5;
-        group_vals[g] = {ipc * cg.dst_freq / 1000.0,  // GIPS
-                         predictor.predict_power(cg.type, ipc) *
-                             cg.power_scale};
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        out.s.at(i, j) = group_vals[group_of[j]][0];
-        out.p.at(i, j) = group_vals[group_of[j]][1];
-      }
-      if (cache && n > 0) {
-        cache->store(o.tid, key, n, &out.s.at(i, 0), &out.p.at(i, 0));
+        out.s.at(i, g) = ipc * cg.dst_freq / 1000.0;  // GIPS
+        out.p.at(i, g) = predictor.predict_power(cg.type, ipc) * cg.power_scale;
       }
       continue;
     }
@@ -159,7 +97,7 @@ CharacterizationMatrices build_characterization(
 
     // The measured-cell condition is group-determined too (it reads only
     // the group's type/frequency and the thread's own observation).
-    for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (std::size_t g = 0; g < num_groups; ++g) {
       const ColumnGroup& cg = groups[g];
       double ipc;
       double watts;
@@ -170,14 +108,8 @@ CharacterizationMatrices build_characterization(
         ipc = predictor.predict_ipc(o, cg.type, src_freq, cg.dst_freq);
         watts = predictor.predict_power(cg.type, ipc) * cg.power_scale;
       }
-      group_vals[g] = {ipc * cg.dst_freq / 1000.0, watts};  // GIPS, W
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      out.s.at(i, j) = group_vals[group_of[j]][0];
-      out.p.at(i, j) = group_vals[group_of[j]][1];
-    }
-    if (cache && n > 0) {
-      cache->store(o.tid, key, n, &out.s.at(i, 0), &out.p.at(i, 0));
+      out.s.at(i, g) = ipc * cg.dst_freq / 1000.0;  // GIPS
+      out.p.at(i, g) = watts;
     }
   }
   return out;

@@ -21,9 +21,9 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/types.h"
 #include "core/objective.h"
+#include "core/sp_view.h"
 
 namespace sb::core {
 
@@ -55,18 +55,18 @@ template <class Obj>
 class ObjectiveState {
  public:
   /// Initializes the state for `allocation`, precomputing the occupancy
-  /// matrix (and the occupancy-weighted copies of `s`/`p`) so the add/remove
-  /// hot path is pure loads and adds. `s`, `p`, `demand_gips`, and `scratch`
-  /// must outlive the state.
-  ObjectiveState(ObjectiveScratch& scratch, const Matrix& s, const Matrix& p,
+  /// matrix (and the occupancy-weighted copies of S/P) so the add/remove
+  /// hot path is pure loads and adds. `demand_gips` and `scratch` must
+  /// outlive the state; `sp` is read only here.
+  ObjectiveState(ObjectiveScratch& scratch, const SpView& sp,
                  const Obj& objective, const std::vector<CoreId>& allocation,
                  const std::vector<double>* demand_gips = nullptr)
       : sc_(scratch),
         obj_(objective),
-        m_(s.rows()),
-        n_(s.cols()),
+        m_(sp.rows()),
+        n_(sp.cols()),
         fractional_(objective.fractional()) {
-    precompute_occupancy(s, p, demand_gips);
+    precompute_occupancy(sp, demand_gips);
     rebuild(allocation);
   }
 
@@ -127,20 +127,20 @@ class ObjectiveState {
   }
 
  private:
-  void precompute_occupancy(const Matrix& s, const Matrix& p,
+  void precompute_occupancy(const SpView& sp,
                             const std::vector<double>* demand) {
     sc_.wspo.assign(3 * m_ * n_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
       for (std::size_t j = 0; j < n_; ++j) {
         double* cell = &sc_.wspo[3 * (i * n_ + j)];
+        const double s = sp.s(i, j);
         double u = 1.0;
         if (demand) {
           const double d = (*demand)[i];
-          const double cap = s.at(i, j);
-          if (d >= 0 && cap > 0) u = std::clamp(d / cap, 0.02, 1.0);
+          if (d >= 0 && s > 0) u = std::clamp(d / s, 0.02, 1.0);
         }
-        cell[0] = u * s.at(i, j);
-        cell[1] = u * p.at(i, j);
+        cell[0] = u * s;
+        cell[1] = u * sp.p(i, j);
         cell[2] = u;
       }
     }

@@ -61,27 +61,26 @@ int sa_auto_iterations(int num_cores, int num_threads) {
   return static_cast<int>(std::min<long>(100 + 12 * nm, 60000));
 }
 
-double evaluate_allocation(const Matrix& s, const Matrix& p,
+double evaluate_allocation(const SpView& sp,
                            const BalanceObjective& objective,
                            const std::vector<CoreId>& allocation) {
-  if (s.rows() != allocation.size() || p.rows() != allocation.size() ||
-      s.cols() != p.cols()) {
+  if (sp.rows() != allocation.size()) {
     throw std::invalid_argument("evaluate_allocation: shape mismatch");
   }
   ObjectiveScratch scratch;
-  ObjectiveState<BalanceObjective> state(scratch, s, p, objective, allocation);
+  ObjectiveState<BalanceObjective> state(scratch, sp, objective, allocation);
   return state.total();
 }
 
 template <class Obj>
 SaResult SaOptimizer::run_annealing(
-    const Matrix& s, const Matrix& p, const Obj& objective,
+    const SpView& sp, const Obj& objective,
     std::vector<CoreId> initial,
     const std::vector<std::bitset<kMaxCores>>* affinity,
     const std::vector<double>* demand_gips) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t m = s.rows();
-  const auto n = static_cast<std::int64_t>(s.cols());
+  const std::size_t m = sp.rows();
+  const auto n = static_cast<std::int64_t>(sp.cols());
 
   // Ψ as the paper's flat slot array: m slots per core, entry = thread row
   // or -1. Each thread starts in a slot of its current core. slot→core is
@@ -102,7 +101,7 @@ SaResult SaOptimizer::run_annealing(
   }
   const FastMod slot_div(static_cast<std::uint64_t>(m));
 
-  ObjectiveState<Obj> state(scratch_.objective, s, p, objective, initial,
+  ObjectiveState<Obj> state(scratch_.objective, sp, objective, initial,
                             demand_gips);
   SaResult best;
   best.initial_objective = state.total();
@@ -258,16 +257,16 @@ SaResult SaOptimizer::run_annealing(
 }
 
 SaResult SaOptimizer::optimize(
-    const Matrix& s, const Matrix& p, const BalanceObjective& objective,
+    const SpView& sp, const BalanceObjective& objective,
     std::vector<CoreId> initial,
     const std::vector<std::bitset<kMaxCores>>* affinity,
     const std::vector<double>* demand_gips) {
-  const std::size_t m = s.rows();
-  const auto n = static_cast<std::int64_t>(s.cols());
+  const std::size_t m = sp.rows();
+  const auto n = static_cast<std::int64_t>(sp.cols());
   if (m == 0 || n == 0) {
     throw std::invalid_argument("SaOptimizer: empty problem");
   }
-  if (p.rows() != m || p.cols() != s.cols() || initial.size() != m) {
+  if (initial.size() != m) {
     throw std::invalid_argument("SaOptimizer: shape mismatch");
   }
   if (demand_gips && demand_gips->size() != m) {
@@ -287,23 +286,23 @@ SaResult SaOptimizer::optimize(
     switch (objective.kind()) {
       case ObjectiveKind::kEnergyEfficiency:
         return run_annealing(
-            s, p, static_cast<const EnergyEfficiencyObjective&>(objective),
+            sp, static_cast<const EnergyEfficiencyObjective&>(objective),
             std::move(initial), affinity, demand_gips);
       case ObjectiveKind::kThroughput:
         return run_annealing(
-            s, p, static_cast<const ThroughputObjective&>(objective),
+            sp, static_cast<const ThroughputObjective&>(objective),
             std::move(initial), affinity, demand_gips);
       case ObjectiveKind::kEdp:
-        return run_annealing(s, p, static_cast<const EdpObjective&>(objective),
+        return run_annealing(sp, static_cast<const EdpObjective&>(objective),
                              std::move(initial), affinity, demand_gips);
       case ObjectiveKind::kGlobalEfficiency:
         return run_annealing(
-            s, p, static_cast<const GlobalEfficiencyObjective&>(objective),
+            sp, static_cast<const GlobalEfficiencyObjective&>(objective),
             std::move(initial), affinity, demand_gips);
       case ObjectiveKind::kCustom:
         break;
     }
-    return run_annealing<BalanceObjective>(s, p, objective, std::move(initial),
+    return run_annealing<BalanceObjective>(sp, objective, std::move(initial),
                                            affinity, demand_gips);
   }();
   if (obs_ != nullptr) {
@@ -323,10 +322,10 @@ SaResult SaOptimizer::optimize(
   return result;
 }
 
-SaResult exhaustive_optimum(const Matrix& s, const Matrix& p,
+SaResult exhaustive_optimum(const SpView& sp,
                             const BalanceObjective& objective) {
-  const std::size_t m = s.rows();
-  const std::size_t n = s.cols();
+  const std::size_t m = sp.rows();
+  const std::size_t n = sp.cols();
   if (m == 0 || n == 0) throw std::invalid_argument("exhaustive: empty");
   double states = 1;
   for (std::size_t i = 0; i < m; ++i) {
@@ -339,7 +338,7 @@ SaResult exhaustive_optimum(const Matrix& s, const Matrix& p,
 
   std::vector<CoreId> alloc(m, 0);
   ObjectiveScratch scratch;
-  ObjectiveState<BalanceObjective> state(scratch, s, p, objective, alloc);
+  ObjectiveState<BalanceObjective> state(scratch, sp, objective, alloc);
   SaResult best;
   best.allocation = alloc;
   best.objective = state.total();

@@ -38,11 +38,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/matrix.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "core/objective.h"
 #include "core/objective_state.h"
+#include "core/sp_view.h"
 
 namespace sb::obs {
 class Sink;
@@ -87,7 +87,7 @@ class SaOptimizer {
   explicit SaOptimizer(SaConfig cfg) : cfg_(cfg) {}
 
   /// Finds an allocation maximizing Σ_j objective.core_term(core j sums).
-  /// `s` and `p` are the m×n characterization matrices (GIPS / watts);
+  /// `sp` is the m×n characterization view (GIPS / watts);
   /// `initial` the current allocation; `affinity` (optional) per-thread
   /// allowed-core masks.
   ///
@@ -104,8 +104,7 @@ class SaOptimizer {
   /// Non-const: the call reuses the optimizer's scratch arena. A single
   /// SaOptimizer must not be shared across threads; results are
   /// independent of any prior calls on the same instance.
-  SaResult optimize(const Matrix& s, const Matrix& p,
-                    const BalanceObjective& objective,
+  SaResult optimize(const SpView& sp, const BalanceObjective& objective,
                     std::vector<CoreId> initial,
                     const std::vector<std::bitset<kMaxCores>>* affinity =
                         nullptr,
@@ -131,7 +130,7 @@ class SaOptimizer {
 
  private:
   template <class Obj>
-  SaResult run_annealing(const Matrix& s, const Matrix& p, const Obj& obj,
+  SaResult run_annealing(const SpView& sp, const Obj& obj,
                          std::vector<CoreId> initial,
                          const std::vector<std::bitset<kMaxCores>>* affinity,
                          const std::vector<double>* demand_gips);
@@ -171,11 +170,11 @@ class SaOptimizer {
 /// thread and updates one incremental ObjectiveState (O(1) per state
 /// instead of a full O(m·n) rebuild). Throws std::invalid_argument if n^m
 /// exceeds ~16M states.
-SaResult exhaustive_optimum(const Matrix& s, const Matrix& p,
+SaResult exhaustive_optimum(const SpView& sp,
                             const BalanceObjective& objective);
 
 /// Evaluates Σ_j core_term for an explicit allocation (reference/debug).
-double evaluate_allocation(const Matrix& s, const Matrix& p,
+double evaluate_allocation(const SpView& sp,
                            const BalanceObjective& objective,
                            const std::vector<CoreId>& allocation);
 

@@ -17,8 +17,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Per-shard seed stride (2^64 / φ): shard 0 keeps the policy's per-pass
-/// seed unchanged, which is what makes --shards=1 replay the unsharded
-/// annealing trajectory bit for bit.
+/// seed unchanged, so a one-shard pass anneals the policy's own trajectory.
 constexpr std::uint64_t kShardSeedStride = 0x9e3779b97f4a7c15ULL;
 
 int parse_int_field(const std::string& tok, const char* what, long lo,
@@ -48,12 +47,11 @@ int parse_int_field(const std::string& tok, const char* what, long lo,
 /// (duty-cycled threads occupy clamp(d/cap, 0.02, 1) of their core) — in
 /// O(m + n) with no per-cell cache, since it runs a handful of times per
 /// epoch instead of inside the annealing loop.
-double merged_objective(const Matrix& s, const Matrix& p,
-                        const BalanceObjective& objective,
+double merged_objective(const SpView& sp, const BalanceObjective& objective,
                         const std::vector<CoreId>& allocation,
                         const std::vector<double>& demand,
                         std::vector<CoreSums>& sums_scratch) {
-  const std::size_t n = s.cols();
+  const std::size_t n = sp.cols();
   sums_scratch.assign(n, CoreSums{});
   for (std::size_t i = 0; i < allocation.size(); ++i) {
     const CoreId c = allocation[i];
@@ -61,11 +59,11 @@ double merged_objective(const Matrix& s, const Matrix& p,
     const auto j = static_cast<std::size_t>(c);
     double u = 1.0;
     const double d = demand[i];
-    const double cap = s.at(i, j);
+    const double cap = sp.s(i, j);
     if (d >= 0 && cap > 0) u = std::clamp(d / cap, 0.02, 1.0);
     CoreSums& cs = sums_scratch[j];
-    cs.gips += u * s.at(i, j);
-    cs.watts += u * p.at(i, j);
+    cs.gips += u * cap;
+    cs.watts += u * sp.p(i, j);
     cs.load += u;
     ++cs.nthreads;
   }
@@ -163,24 +161,12 @@ ShardPartition make_shard_partition(const arch::Platform& platform,
   return part;
 }
 
-struct ShardedBalancer::ShardTask {
-  std::vector<std::size_t> rows;  // global thread rows, ascending
-  Matrix s, p;
-  std::vector<CoreId> initial;  // local columns
-  std::vector<std::bitset<kMaxCores>> affinity;
-  std::vector<double> demand;
-  SaResult result;
-  int worker = -1;
-  bool ran = false;
-  std::exception_ptr error;
-};
-
 ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
                                  ShardingConfig cfg, SaConfig sa)
     : platform_(platform),
       cfg_(cfg),
       sa_(sa),
-      partition_(make_shard_partition(platform, cfg.shards)) {
+      partition_(make_shard_partition(platform, std::max(1, cfg.shards))) {
   col_of_core_.assign(static_cast<std::size_t>(platform.num_cores()), -1);
   for (const auto& cores : partition_.cores) {
     for (std::size_t j = 0; j < cores.size(); ++j) {
@@ -191,38 +177,22 @@ ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
   for (std::size_t k = 0; k < partition_.cores.size(); ++k) {
     optimizers_.push_back(std::make_unique<SaOptimizer>(sa_));
   }
+  tasks_.resize(partition_.cores.size());
 }
 
 SaResult ShardedBalancer::balance(
-    std::uint64_t pass, std::uint64_t base_seed, const Matrix& s,
-    const Matrix& p, const BalanceObjective& objective,
-    const std::vector<CoreId>& initial,
+    std::uint64_t pass, std::uint64_t base_seed, const SpView& sp,
+    const BalanceObjective& objective, const std::vector<CoreId>& initial,
     const std::vector<std::bitset<kMaxCores>>& affinity,
     const std::vector<double>& demand, obs::Sink* obs, TimeNs ts_offset_ns) {
   const int k = partition_.num_shards();
   const std::size_t m = initial.size();
   last_ = ShardPassStats{};
-
-  // Kind-preserving per-shard objective restrictions (stable per policy
-  // objective; rebuilt only if the instance changes).
-  if (objective_seen_ != &objective) {
-    shard_objectives_.clear();
-    shard_objectives_.reserve(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) {
-      shard_objectives_.push_back(objective.restrict_to_cores(
-          partition_.cores[static_cast<std::size_t>(i)]));
-    }
-    objective_seen_ = &objective;
-  }
-
-  // Row partition: each thread anneals inside the shard of its current
-  // core (the exchange phase below is the only cross-shard channel).
-  std::vector<ShardTask> tasks(static_cast<std::size_t>(k));
-  for (std::size_t i = 0; i < m; ++i) {
-    const CoreId c = initial[i];
-    if (c < 0 || static_cast<std::size_t>(c) >= col_of_core_.size()) continue;
-    tasks[static_cast<std::size_t>(partition_.shard_of[static_cast<std::size_t>(c)])]
-        .rows.push_back(i);
+  for (ShardTask& t : tasks_) {
+    t.rows.clear();
+    t.worker = -1;
+    t.ran = false;
+    t.error = nullptr;
   }
 
   // One global iteration budget, split evenly: total annealing work stays
@@ -230,73 +200,101 @@ SaResult ShardedBalancer::balance(
   const int total_budget =
       sa_.max_iterations > 0
           ? sa_.max_iterations
-          : sa_auto_iterations(static_cast<int>(s.cols()),
+          : sa_auto_iterations(static_cast<int>(sp.cols()),
                                static_cast<int>(m));
-  const int shard_budget =
-      k == 1 ? total_budget : std::max(100, total_budget / k);
-
-  const int jobs = cfg_.jobs > 0
-                       ? cfg_.jobs
-                       : std::min(k, common::resolve_jobs(0));
-  common::parallel_for(
-      static_cast<std::size_t>(k), jobs, [&](std::size_t ki, int worker) {
-        ShardTask& t = tasks[ki];
-        t.worker = worker;
-        if (t.rows.empty()) return;
-        try {
-          const std::vector<CoreId>& cores = partition_.cores[ki];
-          const std::size_t sn = cores.size();
-          const std::size_t sm = t.rows.size();
-          t.s = Matrix(sm, sn);
-          t.p = Matrix(sm, sn);
-          t.initial.resize(sm);
-          t.affinity.resize(sm);
-          t.demand.resize(sm);
-          for (std::size_t r = 0; r < sm; ++r) {
-            const std::size_t i = t.rows[r];
-            for (std::size_t j = 0; j < sn; ++j) {
-              const auto cj = static_cast<std::size_t>(cores[j]);
-              t.s.at(r, j) = s.at(i, cj);
-              t.p.at(r, j) = p.at(i, cj);
-              if (affinity[i].test(cj)) t.affinity[r].set(j);
-            }
-            t.initial[r] =
-                col_of_core_[static_cast<std::size_t>(initial[i])];
-            t.demand[r] = demand[i];
-          }
-          SaOptimizer& opt = *optimizers_[ki];
-          opt.set_seed(base_seed ^ (static_cast<std::uint64_t>(ki) *
-                                    kShardSeedStride));
-          opt.set_max_iterations(shard_budget);
-          t.result = opt.optimize(t.s, t.p, *shard_objectives_[ki], t.initial,
-                                  &t.affinity, &t.demand);
-          t.ran = true;
-        } catch (...) {
-          t.error = std::current_exception();
-        }
-      });
-  for (const ShardTask& t : tasks) {
-    if (t.error) std::rethrow_exception(t.error);
-  }
 
   SaResult merged;
   int moves = 0;
   TimeNs exchange_ns = 0;
   if (k == 1) {
-    // Single shard: the sub-problem is the whole problem (value-identical
-    // matrices, identity column order, the unsharded per-pass seed), so the
-    // sub-result IS the global result — returned directly, skipping the
-    // merged re-evaluation whose last bits could differ from SA's
-    // incremental objective accounting.
-    merged = tasks[0].result;
-    const std::vector<CoreId>& cores = partition_.cores[0];
-    for (CoreId& c : merged.allocation) {
-      c = cores[static_cast<std::size_t>(c)];
+    // The one shard is the whole problem: identity columns, the policy's
+    // objective and per-pass seed, the caller's vectors — nothing to copy,
+    // nothing to merge or exchange. Without an explicit shard count the
+    // pass reports as the plain optimizer (sa.*), not as a shard.
+    ShardTask& t = tasks_[0];
+    if (m > 0) {
+      SaOptimizer& opt = *optimizers_[0];
+      opt.set_seed(base_seed);
+      opt.set_max_iterations(total_budget);
+      opt.set_obs(cfg_.enabled() ? nullptr : obs);
+      t.result = opt.optimize(sp, objective, initial, &affinity, &demand);
+      t.ran = true;
     }
   } else {
+    // Kind-preserving per-shard objective restrictions (stable per policy
+    // objective; rebuilt only if the instance changes).
+    if (objective_seen_ != &objective) {
+      shard_objectives_.clear();
+      shard_objectives_.reserve(static_cast<std::size_t>(k));
+      for (int i = 0; i < k; ++i) {
+        shard_objectives_.push_back(objective.restrict_to_cores(
+            partition_.cores[static_cast<std::size_t>(i)]));
+      }
+      objective_seen_ = &objective;
+    }
+
+    // Row partition: each thread anneals inside the shard of its current
+    // core (the exchange phase below is the only cross-shard channel).
+    for (std::size_t i = 0; i < m; ++i) {
+      const CoreId c = initial[i];
+      if (c < 0 || static_cast<std::size_t>(c) >= col_of_core_.size()) {
+        continue;
+      }
+      tasks_[static_cast<std::size_t>(
+                 partition_.shard_of[static_cast<std::size_t>(c)])]
+          .rows.push_back(i);
+    }
+
+    const int shard_budget = std::max(100, total_budget / k);
+    const int jobs = cfg_.jobs > 0 ? cfg_.jobs
+                                   : std::min(k, common::resolve_jobs(0));
+    common::parallel_for(
+        static_cast<std::size_t>(k), jobs, [&](std::size_t ki, int worker) {
+          ShardTask& t = tasks_[ki];
+          t.worker = worker;
+          if (t.rows.empty()) return;
+          try {
+            const std::vector<CoreId>& cores = partition_.cores[ki];
+            const std::size_t sn = cores.size();
+            const std::size_t sm = t.rows.size();
+            t.cells.resize(sn);
+            for (std::size_t j = 0; j < sn; ++j) {
+              t.cells[j] = static_cast<std::uint32_t>(
+                  sp.cell(static_cast<std::size_t>(cores[j])));
+            }
+            t.initial.resize(sm);
+            t.affinity.assign(sm, std::bitset<kMaxCores>());
+            t.demand.resize(sm);
+            for (std::size_t r = 0; r < sm; ++r) {
+              const std::size_t i = t.rows[r];
+              for (std::size_t j = 0; j < sn; ++j) {
+                if (affinity[i].test(static_cast<std::size_t>(cores[j]))) {
+                  t.affinity[r].set(j);
+                }
+              }
+              t.initial[r] =
+                  col_of_core_[static_cast<std::size_t>(initial[i])];
+              t.demand[r] = demand[i];
+            }
+            SaOptimizer& opt = *optimizers_[ki];
+            opt.set_seed(base_seed ^ (static_cast<std::uint64_t>(ki) *
+                                      kShardSeedStride));
+            opt.set_max_iterations(shard_budget);
+            t.result = opt.optimize(sp.sub(t.rows, t.cells),
+                                    *shard_objectives_[ki], t.initial,
+                                    &t.affinity, &t.demand);
+            t.ran = true;
+          } catch (...) {
+            t.error = std::current_exception();
+          }
+        });
+    for (const ShardTask& t : tasks_) {
+      if (t.error) std::rethrow_exception(t.error);
+    }
+
     merged.allocation = initial;
-    for (std::size_t ki = 0; ki < tasks.size(); ++ki) {
-      const ShardTask& t = tasks[ki];
+    for (std::size_t ki = 0; ki < tasks_.size(); ++ki) {
+      const ShardTask& t = tasks_[ki];
       if (!t.ran) continue;
       const std::vector<CoreId>& cores = partition_.cores[ki];
       for (std::size_t r = 0; r < t.rows.size(); ++r) {
@@ -311,12 +309,12 @@ SaResult ShardedBalancer::balance(
     }
     std::vector<CoreSums> sums;
     merged.initial_objective =
-        merged_objective(s, p, objective, initial, demand, sums);
+        merged_objective(sp, objective, initial, demand, sums);
     merged.objective =
-        merged_objective(s, p, objective, merged.allocation, demand, sums);
+        merged_objective(sp, objective, merged.allocation, demand, sums);
 
     const auto x0 = Clock::now();
-    moves = exchange(s, p, objective, affinity, demand, merged.allocation,
+    moves = exchange(sp, objective, affinity, demand, merged.allocation,
                      merged.objective);
     exchange_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       Clock::now() - x0)
@@ -328,7 +326,7 @@ SaResult ShardedBalancer::balance(
   // never touch the sink, so --jobs=1/8 emit identical deterministic
   // counters (host-clock span durations vary run to run, like epoch.*_ns).
   int ran_count = 0;
-  for (const ShardTask& t : tasks) {
+  for (const ShardTask& t : tasks_) {
     if (!t.ran) continue;
     ++ran_count;
     last_.shard_ns_total += t.result.host_ns;
@@ -343,7 +341,7 @@ SaResult ShardedBalancer::balance(
   exchange_ns_total_ += static_cast<std::uint64_t>(exchange_ns);
   if (k > 1) exchange_ns_.add(static_cast<double>(exchange_ns));
 
-  if (obs != nullptr) {
+  if (obs != nullptr && cfg_.enabled()) {
     auto& metrics = obs->metrics();
     if (ran_count > 0) {
       metrics.counter("shard.passes").add(static_cast<std::uint64_t>(ran_count));
@@ -352,7 +350,7 @@ SaResult ShardedBalancer::balance(
       metrics.counter("shard.exchange.moves")
           .add(static_cast<std::uint64_t>(moves));
     }
-    for (const ShardTask& t : tasks) {
+    for (const ShardTask& t : tasks_) {
       if (t.ran) {
         metrics.histogram("shard.pass_ns")
             .record(static_cast<std::uint64_t>(t.result.host_ns));
@@ -365,10 +363,10 @@ SaResult ShardedBalancer::balance(
       // span sits inside the epoch span (validated by check_trace.py).
       const std::uint64_t base =
           obs->now_ns() + static_cast<std::uint64_t>(ts_offset_ns);
-      std::vector<std::uint64_t> worker_off(tasks.size(), 0);
+      std::vector<std::uint64_t> worker_off(tasks_.size(), 0);
       std::uint64_t chain_end = 0;
-      for (std::size_t ki = 0; ki < tasks.size(); ++ki) {
-        const ShardTask& t = tasks[ki];
+      for (std::size_t ki = 0; ki < tasks_.size(); ++ki) {
+        const ShardTask& t = tasks_[ki];
         if (!t.ran) continue;
         const auto w = static_cast<std::size_t>(std::max(t.worker, 0));
         const auto dur = static_cast<std::uint64_t>(t.result.host_ns);
@@ -387,11 +385,12 @@ SaResult ShardedBalancer::balance(
       }
     }
   }
+  if (k == 1 && tasks_[0].ran) merged = std::move(tasks_[0].result);
   return merged;
 }
 
 int ShardedBalancer::exchange(
-    const Matrix& s, const Matrix& p, const BalanceObjective& objective,
+    const SpView& sp, const BalanceObjective& objective,
     const std::vector<std::bitset<kMaxCores>>& affinity,
     const std::vector<double>& demand, std::vector<CoreId>& allocation,
     double& merged_j) {
@@ -434,7 +433,7 @@ int ShardedBalancer::exchange(
               : 0;
     }
   }
-  std::vector<int> load(s.cols(), 0);
+  std::vector<int> load(sp.cols(), 0);
   for (const CoreId c : allocation) {
     if (c >= 0) ++load[static_cast<std::size_t>(c)];
   }
@@ -455,9 +454,9 @@ int ShardedBalancer::exchange(
     if (cur < 0) continue;
     const auto cur_shard = static_cast<std::size_t>(
         partition_.shard_of[static_cast<std::size_t>(cur)]);
-    const double cur_w = p.at(i, static_cast<std::size_t>(cur));
+    const double cur_w = sp.p(i, static_cast<std::size_t>(cur));
     const double cur_eff =
-        cur_w > 0 ? s.at(i, static_cast<std::size_t>(cur)) / cur_w : 0.0;
+        cur_w > 0 ? sp.s(i, static_cast<std::size_t>(cur)) / cur_w : 0.0;
     Cand best{0.0, i, -1};
     for (CoreTypeId t = 0; t < q; ++t) {
       if (!reachable[cur_shard * static_cast<std::size_t>(q) +
@@ -466,9 +465,9 @@ int ShardedBalancer::exchange(
       }
       const auto rep = static_cast<std::size_t>(
           cores_by_type[static_cast<std::size_t>(t)].front());
-      const double w = p.at(i, rep);
+      const double w = sp.p(i, rep);
       if (w <= 0) continue;
-      const double eff = s.at(i, rep) / w;
+      const double eff = sp.s(i, rep) / w;
       const double rel = cur_eff > 0 ? (eff - cur_eff) / cur_eff
                                      : (eff > 0 ? 1.0 : 0.0);
       if (rel > best.gain) best = Cand{rel, i, t};
@@ -493,19 +492,19 @@ int ShardedBalancer::exchange(
   // two per-core term re-derivations per candidate. That keeps the whole
   // apply loop O(E) — re-evaluating the full objective per move would put
   // an O(E·(m + n)) ~ n² tail on the pass and sink the sublinearity gate.
-  const std::size_t n = s.cols();
+  const std::size_t n = sp.cols();
   const auto occupancy = [&](std::size_t i, std::size_t j) {
     double u = 1.0;
     const double d = demand[i];
-    const double cap = s.at(i, j);
+    const double cap = sp.s(i, j);
     if (d >= 0 && cap > 0) u = std::clamp(d / cap, 0.02, 1.0);
     return u;
   };
   const auto add_thread = [&](CoreSums& cs, std::size_t i, std::size_t j,
                               double sign) {
     const double u = sign * occupancy(i, j);
-    cs.gips += u * s.at(i, j);
-    cs.watts += u * p.at(i, j);
+    cs.gips += u * sp.s(i, j);
+    cs.watts += u * sp.p(i, j);
     cs.load += u;
     cs.nthreads += sign > 0 ? 1 : -1;
   };

@@ -1,12 +1,14 @@
 // Sharded hierarchical balancing: sublinear per-epoch cost at 1024+ cores.
 //
-// The centralized BALANCE phase anneals one m×n problem per epoch, and
-// BENCH_epoch shows it hitting 13% of the epoch already at 128c/256t. This
-// layer splits the platform into K cluster/NUMA-style shards and runs K
-// independent cluster-local SA passes *in parallel* (on the same
-// work-stealing fork-join primitive the ExperimentRunner pool uses), then a
-// cheap sequential global exchange phase that trades the worst-matched
-// threads between shards using the already-adapted Eq. 8 forecasts.
+// Every SmartBalance pass anneals through this layer. It splits the
+// platform into K cluster/NUMA-style shards and runs K independent
+// cluster-local SA passes *in parallel* (on the same work-stealing
+// fork-join primitive the ExperimentRunner pool uses), then a cheap
+// sequential global exchange phase that trades the worst-matched threads
+// between shards using the already-adapted Eq. 8 forecasts. A shard reads
+// S/P through a view (row list plus cell list, core/sp_view.h): nothing is
+// copied. With K = 1 (the default) the one shard is the whole problem,
+// passed straight to the optimizer with no exchange phase.
 //
 // Cost model: the global iteration budget (SaConfig::max_iterations, or the
 // Fig. 8a auto rule) is split evenly across shards, and each shard's moves
@@ -17,9 +19,9 @@
 // Determinism contract (same as every prior layer):
 //  - shard partitioning is a pure function of (platform, K);
 //  - shard k's anneal seeds from base_seed ^ (k · golden-ratio), where
-//    base_seed is the policy's per-pass seed — so shard 0 of a K=1 run
-//    replays the unsharded trajectory exactly, and `--shards=1` is
-//    bit-identical to the unsharded policy;
+//    base_seed is the policy's per-pass seed — so the K = 1 pass anneals
+//    the policy's per-pass trajectory, and `--shards=1` is bit-identical to
+//    the default;
 //  - every shard writes only its own result slot and observability is
 //    emitted after the join in shard order, so results are independent of
 //    worker count and completion order (`--jobs=1/8` byte-identical).
@@ -27,16 +29,17 @@
 
 #include <bitset>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "arch/platform.h"
-#include "common/matrix.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "core/objective.h"
 #include "core/sa_optimizer.h"
+#include "core/sp_view.h"
 
 namespace sb::obs {
 class Sink;
@@ -44,11 +47,13 @@ class Sink;
 
 namespace sb::core {
 
-/// Sharded-balancing knobs (SmartBalanceConfig::Sharding). Default off:
-/// every golden figure stays bit-identical.
+/// Sharded-balancing knobs (SmartBalanceConfig::Sharding).
 struct ShardingConfig {
-  /// Number of shards; 0 disables sharding entirely (the unsharded SA path
-  /// runs). Clamped to the platform's core count at policy construction.
+  /// Number of shards. 0 (the default) and 1 both mean one shard through
+  /// the single balance path, with bit-identical allocations; they differ
+  /// only in reporting — 0 exports the optimizer's sa.* telemetry, while an
+  /// explicit K >= 1 exports shard.* and the report's "shards" block.
+  /// Clamped to the platform's core count.
   int shards = 0;
   /// Worker threads for the intra-epoch shard passes; 0 = auto
   /// (min(shards, SB_JOBS / hardware concurrency)).
@@ -59,6 +64,7 @@ struct ShardingConfig {
   /// Minimum relative per-thread efficiency gain for an exchange candidate.
   double exchange_min_gain = 0.02;
 
+  /// Sharding was asked for explicitly (K >= 1): shard telemetry is on.
   bool enabled() const { return shards > 0; }
 
   /// Parses the sbsim `--shards=` grammar: `K[:jobs[:moves]]`, e.g. "8",
@@ -103,9 +109,9 @@ struct ShardPassStats {
   int iterations_total = 0;
 };
 
-/// Drives the sharded BALANCE phase for SmartBalancePolicy. Owns one
-/// SaOptimizer (and thus one ObjectiveScratch arena) per shard, reused
-/// across epochs exactly like the unsharded policy's single optimizer.
+/// Drives the BALANCE phase for SmartBalancePolicy. Owns one SaOptimizer
+/// (and thus one ObjectiveScratch arena) and one task slot per shard, all
+/// reused across epochs.
 class ShardedBalancer {
  public:
   /// `sa` is the policy's SaConfig (its max_iterations — or the auto rule —
@@ -113,18 +119,17 @@ class ShardedBalancer {
   ShardedBalancer(const arch::Platform& platform, ShardingConfig cfg,
                   SaConfig sa);
 
-  /// Runs the sharded balance phase for one epoch. `base_seed` is the
-  /// policy's per-pass seed (shard k re-seeds with
+  /// Runs the balance phase for one epoch over the whole m×n view `sp`.
+  /// `base_seed` is the policy's per-pass seed (shard k re-seeds with
   /// base_seed ^ (k · 0x9e3779b97f4a7c15)); `ts_offset_ns` positions the
   /// shard.pass spans after the sense+predict phases inside the epoch span.
   /// Returns a merged global SaResult: allocation over physical core ids,
   /// objective/initial_objective of the merged allocation, summed SA
   /// counters, host_ns = summed per-shard SA CPU + exchange time. With one
-  /// shard the single sub-result is returned directly (bit-identical to the
-  /// unsharded optimizer on the same inputs).
+  /// shard the optimizer runs on `sp` and the caller's vectors directly and
+  /// its result is returned as is.
   SaResult balance(std::uint64_t pass, std::uint64_t base_seed,
-                   const Matrix& s, const Matrix& p,
-                   const BalanceObjective& objective,
+                   const SpView& sp, const BalanceObjective& objective,
                    const std::vector<CoreId>& initial,
                    const std::vector<std::bitset<kMaxCores>>& affinity,
                    const std::vector<double>& demand, obs::Sink* obs,
@@ -145,13 +150,24 @@ class ShardedBalancer {
   std::uint64_t exchange_ns_total() const { return exchange_ns_total_; }
 
  private:
-  struct ShardTask;
+  /// One shard's per-pass state; the vectors keep their capacity across
+  /// passes. The shard reads S/P as sp.sub(rows, cells).
+  struct ShardTask {
+    std::vector<std::size_t> rows;     // global thread rows, ascending
+    std::vector<std::uint32_t> cells;  // local column -> source cell
+    std::vector<CoreId> initial;       // local columns
+    std::vector<std::bitset<kMaxCores>> affinity;
+    std::vector<double> demand;
+    SaResult result;
+    int worker = -1;
+    bool ran = false;
+    std::exception_ptr error;
+  };
 
   /// Applies the bounded exchange phase to `allocation` in place; returns
   /// the number of moves kept (each move is re-scored against the merged
   /// objective and reverted if it does not improve it).
-  int exchange(const Matrix& s, const Matrix& p,
-               const BalanceObjective& objective,
+  int exchange(const SpView& sp, const BalanceObjective& objective,
                const std::vector<std::bitset<kMaxCores>>& affinity,
                const std::vector<double>& demand,
                std::vector<CoreId>& allocation, double& merged_j);
@@ -162,8 +178,9 @@ class ShardedBalancer {
   ShardPartition partition_;
   /// Column remap: core id -> its column inside its shard's sub-problem.
   std::vector<int> col_of_core_;
-  /// One persistent optimizer (scratch arena) per shard.
+  /// One persistent optimizer (scratch arena) and task slot per shard.
   std::vector<std::unique_ptr<SaOptimizer>> optimizers_;
+  std::vector<ShardTask> tasks_;
   /// Kind-preserving per-shard restrictions of the policy objective,
   /// rebuilt if the objective instance ever changes.
   std::vector<std::unique_ptr<BalanceObjective>> shard_objectives_;

@@ -73,22 +73,16 @@ SmartBalancePolicy::SmartBalancePolicy(
       objective_(objective ? std::move(objective)
                            : make_energy_efficiency_objective()),
       sensing_(platform, resolve_sensing(cfg), Rng(cfg.seed ^ 0x5e25ULL)),
-      optimizer_([&] {
+      balancer_(platform, cfg.sharding, [&] {
         SaConfig sa = cfg.sa;
         sa.seed = cfg.seed ^ 0x0a0aULL;
         return sa;
-      }()),
-      pred_cache_(cfg.prediction_cache) {
+      }()) {
   if (!cfg_.fault_plan.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault_plan);
   }
   if (cfg_.adaptation.enabled()) {
     adapter_ = std::make_unique<OnlineAdapter>(cfg_.adaptation, &model_);
-  }
-  if (cfg_.sharding.enabled()) {
-    SaConfig sa = cfg_.sa;
-    sa.seed = cfg_.seed ^ 0x0a0aULL;
-    sharded_ = std::make_unique<ShardedBalancer>(platform_, cfg_.sharding, sa);
   }
 }
 
@@ -101,8 +95,6 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   // the simulated timeline. Null sink = everything below is one branch.
   obs::Sink* const obs = kernel.obs();
   sensing_.set_obs(obs);
-  optimizer_.set_obs(obs);
-  pred_cache_.set_obs(obs);
   if (injector_) injector_->set_obs(obs);
   if (obs != nullptr) {
     obs->begin_epoch(passes_, static_cast<std::uint64_t>(now));
@@ -294,17 +286,6 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   }
 
   // ---- Phase 2: PREDICT ---------------------------------------------------
-  // RLS rewrites Θ every epoch, so cached rows would be stale; tier-1-only
-  // adaptation keeps the cache (rows stay raw, gains are a post-pass). On
-  // platforms below min_cores the Θ fan-out is cheaper than the cache's own
-  // key hashing, so the cache auto-disables (BENCH_epoch's quad crossover).
-  PredictionCache* cache =
-      cfg_.prediction_cache.enabled &&
-              kernel.num_cores() >= cfg_.prediction_cache.min_cores &&
-              !(adapter_ && cfg_.adaptation.rls)
-          ? &pred_cache_
-          : nullptr;
-  if (cache) pred_cache_.advance_epoch();
   if (kernel.config().enable_dvfs) {
     // Predict at each core's *current* operating point.
     std::vector<arch::OperatingPoint> opps;
@@ -312,11 +293,9 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     for (CoreId c = 0; c < kernel.num_cores(); ++c) {
       opps.push_back(kernel.core_opp(c));
     }
-    last_mx_ = build_characterization(observations, model_, platform_, &opps,
-                                      cache);
+    last_mx_ = build_characterization(observations, model_, platform_, &opps);
   } else {
-    last_mx_ = build_characterization(observations, model_, platform_,
-                                      nullptr, cache);
+    last_mx_ = build_characterization(observations, model_, platform_);
   }
   // Tier 1 bias/gain: multiply every forecast cell by its pair's
   // correction, keeping a raw copy so forecasts are scored (and adapted)
@@ -331,11 +310,10 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     for (std::size_t i = 0; i < last_mx_.num_threads(); ++i) {
       const ThreadObservation& o = observations[i];
       if (o.core_type < 0) continue;
-      for (CoreId c = 0; c < kernel.num_cores(); ++c) {
-        const CoreTypeId t = platform_.type_of(c);
-        const auto j = static_cast<std::size_t>(c);
-        last_mx_.s.at(i, j) *= adapter_->gips_multiplier(o.core_type, t);
-        last_mx_.p.at(i, j) *= adapter_->power_multiplier(o.core_type, t);
+      for (std::size_t g = 0; g < last_mx_.num_groups(); ++g) {
+        const CoreTypeId t = last_mx_.group_type[g];
+        last_mx_.s.at(i, g) *= adapter_->gips_multiplier(o.core_type, t);
+        last_mx_.p.at(i, g) *= adapter_->power_multiplier(o.core_type, t);
       }
     }
   }
@@ -360,8 +338,7 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
     if (u >= 0.9 || initial[i] < 0) {
       demand[i] = -1.0;
     } else {
-      demand[i] =
-          u * last_mx_.s.at(i, static_cast<std::size_t>(initial[i]));
+      demand[i] = u * last_mx_.s_at(i, initial[i]);
     }
     // Migration cooldown: recently moved threads are frozen in place until
     // re-characterized on the new core type.
@@ -375,21 +352,13 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
   }
   // Fresh annealing trajectory each epoch (deterministic per pass index),
   // reusing persistent optimizer scratch arenas — re-seeded, never
-  // re-allocated. Sharded mode swaps only this call: K cluster-local
-  // anneals in parallel plus the bounded global exchange, same inputs,
-  // same merged-result contract.
+  // re-allocated. With K > 1 shards: K cluster-local anneals in parallel
+  // plus the bounded global exchange, same inputs, same result contract.
   const std::uint64_t pass_seed =
       cfg_.seed ^ (0x0a0aULL + passes_ * 0x9e3779b9ULL);
-  SaResult result;
-  if (sharded_) {
-    result = sharded_->balance(passes_, pass_seed, last_mx_.s, last_mx_.p,
-                               *objective_, initial, affinity, demand, obs,
-                               elapsed_ns(t0, t2));
-  } else {
-    optimizer_.set_seed(pass_seed);
-    result = optimizer_.optimize(last_mx_.s, last_mx_.p, *objective_, initial,
-                                 &affinity, &demand);
-  }
+  const SaResult result =
+      balancer_.balance(passes_, pass_seed, last_mx_.view(), *objective_,
+                        initial, affinity, demand, obs, elapsed_ns(t0, t2));
   const auto t3 = Clock::now();
 
   // Apply the new allocation (set_cpus_allowed_ptr / migrate analogue).
@@ -440,10 +409,11 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
       const std::int32_t src_type =
           initial[i] >= 0 ? platform_.type_of(initial[i]) : -1;
       const std::int32_t dst_type = platform_.type_of(next);
-      const double pred_gips = last_mx_.s.at(i, jn);
-      const double pred_w = last_mx_.p.at(i, jn);
-      const double rg = have_raw ? raw_s.at(i, jn) : pred_gips;
-      const double rw = have_raw ? raw_p.at(i, jn) : pred_w;
+      const std::size_t g = last_mx_.group_of[jn];
+      const double pred_gips = last_mx_.s.at(i, g);
+      const double pred_w = last_mx_.p.at(i, g);
+      const double rg = have_raw ? raw_s.at(i, g) : pred_gips;
+      const double rw = have_raw ? raw_p.at(i, g) : pred_w;
       if (audit != nullptr) {
         obs::ThreadPrediction tp;
         tp.tid = last_mx_.tids[i];
@@ -487,12 +457,12 @@ void SmartBalancePolicy::on_balance(os::Kernel& kernel, TimeNs now) {
         ++migrations;
         if (audit != nullptr) {
           const CoreId dst = result.allocation[i];
-          const double ps = last_mx_.s.at(i, static_cast<std::size_t>(dst));
-          const double pp = last_mx_.p.at(i, static_cast<std::size_t>(dst));
+          const double ps = last_mx_.s_at(i, dst);
+          const double pp = last_mx_.p_at(i, dst);
           double src_eff = 0;
           if (src >= 0) {
-            const double ss = last_mx_.s.at(i, static_cast<std::size_t>(src));
-            const double sp = last_mx_.p.at(i, static_cast<std::size_t>(src));
+            const double ss = last_mx_.s_at(i, src);
+            const double sp = last_mx_.p_at(i, src);
             if (sp > 0) src_eff = ss / sp;
           }
           obs::MigrationPrediction mp;

@@ -9,7 +9,8 @@
 //                 (Eqs. 8–9), filling S(k) and P(k).
 //   3. BALANCE  — run the fixed-point SA optimizer (Algorithm 1) on
 //                 J = Σ ω_j IPS_j/P_j starting from the current allocation
-//                 and migrate threads whose assignment changed.
+//                 (through ShardedBalancer; one shard by default) and
+//                 migrate threads whose assignment changed.
 //
 // Host wall-clock of every phase is recorded per pass for the Fig. 7
 // overhead study.
@@ -23,7 +24,6 @@
 #include "core/adapt.h"
 #include "core/char_matrix.h"
 #include "core/objective.h"
-#include "core/prediction_cache.h"
 #include "core/predictor.h"
 #include "core/sa_optimizer.h"
 #include "core/sensing.h"
@@ -61,13 +61,6 @@ struct SmartBalanceConfig {
   /// instead of a reading. Default: every core instrumented.
   std::bitset<kMaxCores> power_sensor_cores = std::bitset<kMaxCores>().set();
 
-  /// Predict-phase memoization (see prediction_cache.h): threads whose
-  /// quantized counters barely moved since last epoch reuse their S/P rows
-  /// instead of re-running the Θ fan-out across all core types. Disabled by
-  /// default — enabling trades bounded (quantization + staleness) row reuse
-  /// error for a large cut in predict-phase time on stable workloads.
-  PredictionCacheConfig prediction_cache;
-
   /// Deterministic sensor/migration fault plan (see fault/fault_plan.h).
   /// Empty (the default) injects nothing and leaves every golden figure
   /// bit-identical.
@@ -97,16 +90,15 @@ struct SmartBalanceConfig {
   /// Online predictor adaptation (see core/adapt.h): bias/gain correction
   /// of the Eq. 8 forecasts and/or RLS coefficient updates, driven by the
   /// policy's own forecast→observation joins. Off by default — every
-  /// golden stays bit-identical. While tier 2 (RLS) is active the
-  /// prediction cache is bypassed, since cached rows would embed stale Θ.
+  /// golden stays bit-identical.
   using Adaptation = AdaptationConfig;
   Adaptation adaptation;
   /// Sharded hierarchical balancing (see core/shard.h): partition the
   /// platform into clusters, anneal each shard in parallel on the shared
-  /// fork-join pool, then run a bounded global exchange phase. Off by
-  /// default — the unsharded SA path runs and every golden stays
-  /// bit-identical; `shards = 1` routes through the shard machinery but
-  /// replays the unsharded trajectory exactly.
+  /// fork-join pool, then run a bounded global exchange phase. `shards = 0`
+  /// (the default) and `shards = 1` both anneal one shard, the whole
+  /// problem, through the single balance path with identical allocations;
+  /// an explicit K >= 1 also reports shard telemetry.
   using Sharding = ShardingConfig;
   Sharding sharding;
 };
@@ -132,8 +124,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   const RunningStats& objective_gain() const { return objective_gain_; }
   const PredictorModel& model() const { return model_; }
   const SmartBalanceConfig& config() const { return cfg_; }
-  /// Predict-phase cache (hit/miss accounting; empty when disabled).
-  const PredictionCache& prediction_cache() const { return pred_cache_; }
 
   /// The most recent characterization matrices (empty before first pass).
   const CharacterizationMatrices& last_matrices() const { return last_mx_; }
@@ -141,8 +131,12 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   /// Online adaptation layer (null unless cfg.adaptation enables a tier).
   const OnlineAdapter* adapter() const { return adapter_.get(); }
 
-  /// Sharded balancing layer (null unless cfg.sharding.enabled()).
-  const ShardedBalancer* sharded() const { return sharded_.get(); }
+  /// Sharded balancing layer, reported only when sharding was asked for
+  /// (null unless cfg.sharding.enabled(); the default one-shard pass runs
+  /// through the same balancer).
+  const ShardedBalancer* sharded() const {
+    return cfg_.sharding.enabled() ? &balancer_ : nullptr;
+  }
 
   /// Fault-resilience introspection.
   const fault::FaultInjector* injector() const { return injector_.get(); }
@@ -166,11 +160,10 @@ class SmartBalancePolicy final : public os::LoadBalancer {
   SmartBalanceConfig cfg_;
   std::unique_ptr<BalanceObjective> objective_;
   SensingSubsystem sensing_;
-  /// One optimizer for the policy's lifetime: its scratch arena (Ψ slots,
-  /// per-core sums, occupancy matrix, allocations) is reused every epoch —
-  /// re-seeded per pass, never re-allocated.
-  SaOptimizer optimizer_;
-  PredictionCache pred_cache_;
+  /// The balance path for the policy's lifetime: its per-shard optimizers'
+  /// scratch arenas (Ψ slots, per-core sums, occupancy matrix, allocations)
+  /// are reused every epoch — re-seeded per pass, never re-allocated.
+  ShardedBalancer balancer_;
 
   os::BalancePassStats last_;
   std::uint64_t passes_ = 0;
@@ -184,9 +177,6 @@ class SmartBalancePolicy final : public os::LoadBalancer {
 
   /// Online predictor adaptation (null when cfg.adaptation is all-off).
   std::unique_ptr<OnlineAdapter> adapter_;
-
-  /// Sharded balancing (null when cfg.sharding is off).
-  std::unique_ptr<ShardedBalancer> sharded_;
 
   /// Fault injection (null when the plan is empty) and graceful degradation.
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -123,8 +123,8 @@ void write_json(std::ostream& os, const SimulationResult& r) {
     os << "}";
   }
 
-  // Shards block only when sharded balancing ran — the unsharded path
-  // keeps byte-identical reports.
+  // Shards block only when sharding was asked for (--shards) — the default
+  // one-shard pass keeps byte-identical reports.
   if (r.shards > 0) {
     os << ",\"shards\":{\"count\":" << r.shards
        << ",\"passes\":" << r.shard_passes

@@ -53,7 +53,7 @@ void check_incremental_matches_rebuild(const Obj& objective,
   const std::vector<double>* demand = with_demand ? &inst.demand : nullptr;
 
   ObjectiveScratch scratch;
-  ObjectiveState<Obj> state(scratch, inst.s, inst.p, objective, inst.alloc,
+  ObjectiveState<Obj> state(scratch, {inst.s, inst.p}, objective, inst.alloc,
                             demand);
   std::vector<CoreId> alloc = inst.alloc;
 
@@ -73,7 +73,7 @@ void check_incremental_matches_rebuild(const Obj& objective,
 
     // Reference 1: an independent state built fresh on this allocation.
     ObjectiveScratch fresh_scratch;
-    ObjectiveState<Obj> fresh(fresh_scratch, inst.s, inst.p, objective, alloc,
+    ObjectiveState<Obj> fresh(fresh_scratch, {inst.s, inst.p}, objective, alloc,
                               demand);
     ASSERT_NEAR(state.total(), fresh.total(),
                 1e-9 * std::max(1.0, std::abs(fresh.total())))
@@ -118,10 +118,10 @@ TEST(ObjectiveState, MatchesEvaluateAllocationReference) {
   const auto inst = random_instance(7, 3, 11, false);
   EnergyEfficiencyObjective obj;
   ObjectiveScratch scratch;
-  ObjectiveState<EnergyEfficiencyObjective> state(scratch, inst.s, inst.p,
+  ObjectiveState<EnergyEfficiencyObjective> state(scratch, {inst.s, inst.p},
                                                   obj, inst.alloc);
   EXPECT_DOUBLE_EQ(state.total(),
-                   evaluate_allocation(inst.s, inst.p, obj, inst.alloc));
+                   evaluate_allocation({inst.s, inst.p}, obj, inst.alloc));
 }
 
 TEST(ObjectiveState, OccupancyMatchesDemandSemantics) {
@@ -131,7 +131,7 @@ TEST(ObjectiveState, OccupancyMatchesDemandSemantics) {
   std::vector<double> demand = {-1.0, 1.0};
   EnergyEfficiencyObjective obj;
   ObjectiveScratch scratch;
-  ObjectiveState<EnergyEfficiencyObjective> state(scratch, s, p, obj, {0, 0},
+  ObjectiveState<EnergyEfficiencyObjective> state(scratch, {s, p}, obj, {0, 0},
                                                   &demand);
   EXPECT_DOUBLE_EQ(state.occupancy(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(state.occupancy(0, 1), 1.0);
@@ -146,17 +146,17 @@ TEST(ObjectiveState, ScratchReuseAcrossProblemSizesIsClean) {
   ObjectiveScratch scratch;
   const auto big = random_instance(12, 6, 21, true);
   {
-    ObjectiveState<EnergyEfficiencyObjective> state(scratch, big.s, big.p,
+    ObjectiveState<EnergyEfficiencyObjective> state(scratch, {big.s, big.p},
                                                     obj, big.alloc,
                                                     &big.demand);
     EXPECT_GT(state.total(), 0.0);
   }
   const auto small = random_instance(3, 2, 22, false);
-  ObjectiveState<EnergyEfficiencyObjective> state(scratch, small.s, small.p,
+  ObjectiveState<EnergyEfficiencyObjective> state(scratch, {small.s, small.p},
                                                   obj, small.alloc);
   EXPECT_DOUBLE_EQ(
       state.total(),
-      evaluate_allocation(small.s, small.p, obj, small.alloc));
+      evaluate_allocation({small.s, small.p}, obj, small.alloc));
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(GlobalEfficiency, OptimizerPrefersParkingOverHogging) {
   GlobalEfficiencyObjective global({0.05, 0.02});
   SaConfig cfg;
   cfg.max_iterations = 2000;
-  const auto r = SaOptimizer(cfg).optimize(s, p, global, {0, 0}, nullptr,
+  const auto r = SaOptimizer(cfg).optimize({s, p}, global, {0, 0}, nullptr,
                                            &demand);
   EXPECT_EQ(r.allocation[0], 1);
   EXPECT_EQ(r.allocation[1], 1);
@@ -84,8 +84,8 @@ TEST(GlobalEfficiency, EvaluateAllocationSupportsFractional) {
   Matrix p = {{1.0, 0.5}};
   GlobalEfficiencyObjective obj({0.3, 0.3});
   // Thread on core 0 (full load): num 2, den 1 + sleep of idle core 1 (0.3).
-  EXPECT_NEAR(evaluate_allocation(s, p, obj, {0}), 2.0 / 1.3, 1e-12);
-  EXPECT_NEAR(evaluate_allocation(s, p, obj, {1}), 1.0 / 0.8, 1e-12);
+  EXPECT_NEAR(evaluate_allocation({s, p}, obj, {0}), 2.0 / 1.3, 1e-12);
+  EXPECT_NEAR(evaluate_allocation({s, p}, obj, {1}), 1.0 / 0.8, 1e-12);
 }
 
 TEST(Objectives, FactoryReturnsEq11) {

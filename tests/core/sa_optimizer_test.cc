@@ -37,16 +37,16 @@ TEST(EvaluateAllocation, MatchesHandComputation) {
   Matrix p = {{1.0, 0.2}, {1.0, 0.3}};
   EnergyEfficiencyObjective obj;
   // core0: (2+4)/(1+1)=3 ; core1 idle: 0.
-  EXPECT_DOUBLE_EQ(evaluate_allocation(s, p, obj, {0, 0}), 3.0);
+  EXPECT_DOUBLE_EQ(evaluate_allocation({s, p}, obj, {0, 0}), 3.0);
   // split: 2/1 + 0.5/0.3
-  EXPECT_NEAR(evaluate_allocation(s, p, obj, {0, 1}), 2.0 + 0.5 / 0.3, 1e-12);
+  EXPECT_NEAR(evaluate_allocation({s, p}, obj, {0, 1}), 2.0 + 0.5 / 0.3, 1e-12);
 }
 
 TEST(EvaluateAllocation, ShapeChecked) {
   EnergyEfficiencyObjective obj;
-  EXPECT_THROW(evaluate_allocation(Matrix(2, 2), Matrix(2, 3), obj, {0, 0}),
+  EXPECT_THROW(evaluate_allocation({Matrix(2, 2), Matrix(2, 3)}, obj, {0, 0}),
                std::invalid_argument);
-  EXPECT_THROW(evaluate_allocation(Matrix(2, 2), Matrix(2, 2), obj, {0}),
+  EXPECT_THROW(evaluate_allocation({Matrix(2, 2), Matrix(2, 2)}, obj, {0}),
                std::invalid_argument);
 }
 
@@ -90,10 +90,10 @@ TEST(SaOptimizer, ImprovesOrMatchesInitial) {
   const auto inst = random_instance(8, 4, 11);
   EnergyEfficiencyObjective obj;
   SaOptimizer opt;
-  const auto r = opt.optimize(inst.s, inst.p, obj, inst.initial);
+  const auto r = opt.optimize({inst.s, inst.p}, obj, inst.initial);
   EXPECT_GE(r.objective, r.initial_objective);
   EXPECT_EQ(r.allocation.size(), 8u);
-  EXPECT_NEAR(evaluate_allocation(inst.s, inst.p, obj, r.allocation),
+  EXPECT_NEAR(evaluate_allocation({inst.s, inst.p}, obj, r.allocation),
               r.objective, 1e-9)
       << "incremental objective must agree with the reference evaluation";
 }
@@ -107,11 +107,11 @@ TEST_P(SaVsExhaustive, NearOptimalOnSmallInstances) {
                                     static_cast<std::size_t>(n),
                                     static_cast<std::uint64_t>(seed));
   EnergyEfficiencyObjective obj;
-  const auto best = exhaustive_optimum(inst.s, inst.p, obj);
+  const auto best = exhaustive_optimum({inst.s, inst.p}, obj);
   SaConfig cfg;
   cfg.max_iterations = 3000;
   cfg.seed = 42;
-  const auto r = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
+  const auto r = SaOptimizer(cfg).optimize({inst.s, inst.p}, obj, inst.initial);
   EXPECT_GE(r.objective, 0.92 * best.objective)
       << "m=" << m << " n=" << n << " seed=" << seed;
 }
@@ -133,7 +133,7 @@ TEST(SaOptimizer, RespectsAffinity) {
   std::vector<CoreId> initial = inst.initial;
   initial[2] = 1;
   const auto r =
-      SaOptimizer().optimize(inst.s, inst.p, obj, initial, &affinity);
+      SaOptimizer().optimize({inst.s, inst.p}, obj, initial, &affinity);
   EXPECT_EQ(r.allocation[2], 1);
 }
 
@@ -147,7 +147,7 @@ TEST(SaOptimizer, DemandWeightingShrinksSleepyThreads) {
   SaConfig cfg;
   cfg.max_iterations = 500;
   const auto r =
-      SaOptimizer(cfg).optimize(s, p, obj, {0, 0}, nullptr, &demand);
+      SaOptimizer(cfg).optimize({s, p}, obj, {0, 0}, nullptr, &demand);
   // Busy thread alone on core 0 yields 2/0.5 = 4; the sleepy thread's
   // contribution wherever it lands is efficiency-neutral-ish.
   EXPECT_GT(r.objective, 3.5);
@@ -165,7 +165,7 @@ TEST(SaOptimizer, DemandSaturatesOnSlowCores) {
   aff[0].set(1);
   SaConfig cfg;
   cfg.max_iterations = 50;
-  const auto r = SaOptimizer(cfg).optimize(s, p, obj, {1}, &aff, &demand);
+  const auto r = SaOptimizer(cfg).optimize({s, p}, obj, {1}, &aff, &demand);
   // occupancy = min(1, 1.0/0.5) = 1 → term = 0.5/0.1 = 5.
   EXPECT_NEAR(r.objective, 5.0, 1e-9);
 }
@@ -175,8 +175,8 @@ TEST(SaOptimizer, DeterministicPerSeed) {
   EnergyEfficiencyObjective obj;
   SaConfig cfg;
   cfg.seed = 7;
-  const auto a = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
-  const auto b = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
+  const auto a = SaOptimizer(cfg).optimize({inst.s, inst.p}, obj, inst.initial);
+  const auto b = SaOptimizer(cfg).optimize({inst.s, inst.p}, obj, inst.initial);
   EXPECT_EQ(a.allocation, b.allocation);
   EXPECT_DOUBLE_EQ(a.objective, b.objective);
 }
@@ -184,12 +184,12 @@ TEST(SaOptimizer, DeterministicPerSeed) {
 TEST(SaOptimizer, FixedVsFloatAcceptanceBothConverge) {
   const auto inst = random_instance(8, 4, 55);
   EnergyEfficiencyObjective obj;
-  const auto best = exhaustive_optimum(inst.s, inst.p, obj);
+  const auto best = exhaustive_optimum({inst.s, inst.p}, obj);
   for (bool fixed : {true, false}) {
     SaConfig cfg;
     cfg.max_iterations = 6000;
     cfg.fixed_point_acceptance = fixed;
-    const auto r = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
+    const auto r = SaOptimizer(cfg).optimize({inst.s, inst.p}, obj, inst.initial);
     EXPECT_GE(r.objective, 0.88 * best.objective) << "fixed=" << fixed;
   }
 }
@@ -203,22 +203,22 @@ TEST(SaOptimizer, AutoIterationsScaleAndSaturate) {
 TEST(SaOptimizer, ValidatesInput) {
   EnergyEfficiencyObjective obj;
   SaOptimizer opt;
-  EXPECT_THROW(opt.optimize(Matrix(), Matrix(), obj, {}),
+  EXPECT_THROW(opt.optimize({Matrix(), Matrix()}, obj, {}),
                std::invalid_argument);
   EXPECT_THROW(
-      opt.optimize(Matrix(2, 2), Matrix(2, 2), obj, {0, 5}),
+      opt.optimize({Matrix(2, 2), Matrix(2, 2)}, obj, {0, 5}),
       std::invalid_argument);
-  EXPECT_THROW(opt.optimize(Matrix(2, 2), Matrix(2, 3), obj, {0, 0}),
+  EXPECT_THROW(opt.optimize({Matrix(2, 2), Matrix(2, 3)}, obj, {0, 0}),
                std::invalid_argument);
   std::vector<double> utils = {1.0};
   EXPECT_THROW(
-      opt.optimize(Matrix(2, 2), Matrix(2, 2), obj, {0, 0}, nullptr, &utils),
+      opt.optimize({Matrix(2, 2), Matrix(2, 2)}, obj, {0, 0}, nullptr, &utils),
       std::invalid_argument);
 }
 
 TEST(ExhaustiveOptimum, RefusesHugeInstances) {
   EnergyEfficiencyObjective obj;
-  EXPECT_THROW(exhaustive_optimum(Matrix(30, 8), Matrix(30, 8), obj),
+  EXPECT_THROW(exhaustive_optimum({Matrix(30, 8), Matrix(30, 8)}, obj),
                std::invalid_argument);
 }
 
@@ -232,7 +232,7 @@ TEST(ExhaustiveOptimum, FindsKnownOptimum) {
     p.at(i, i) = 0.5;
   }
   EnergyEfficiencyObjective obj;
-  const auto best = exhaustive_optimum(s, p, obj);
+  const auto best = exhaustive_optimum({s, p}, obj);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(best.allocation[i], static_cast<CoreId>(i));
   }
@@ -249,13 +249,13 @@ TEST(SaOptimizer, ScratchReuseIsDeterministic) {
   SaConfig cfg;
   cfg.seed = 9;
   SaOptimizer reused(cfg);
-  const auto first = reused.optimize(inst.s, inst.p, obj, inst.initial);
-  (void)reused.optimize(big.s, big.p, obj, big.initial);
-  const auto again = reused.optimize(inst.s, inst.p, obj, inst.initial);
+  const auto first = reused.optimize({inst.s, inst.p}, obj, inst.initial);
+  (void)reused.optimize({big.s, big.p}, obj, big.initial);
+  const auto again = reused.optimize({inst.s, inst.p}, obj, inst.initial);
   EXPECT_EQ(again.allocation, first.allocation);
   EXPECT_DOUBLE_EQ(again.objective, first.objective);
 
-  const auto fresh = SaOptimizer(cfg).optimize(inst.s, inst.p, obj,
+  const auto fresh = SaOptimizer(cfg).optimize({inst.s, inst.p}, obj,
                                                inst.initial);
   EXPECT_EQ(fresh.allocation, first.allocation);
   EXPECT_DOUBLE_EQ(fresh.objective, first.objective);
@@ -281,9 +281,9 @@ TEST(SaOptimizer, CustomObjectiveMatchesDevirtualizedBuiltin) {
   EnergyEfficiencyObjective builtin;
   CustomEe custom;
   ASSERT_EQ(custom.kind(), ObjectiveKind::kCustom);
-  const auto a = SaOptimizer(cfg).optimize(inst.s, inst.p, builtin,
+  const auto a = SaOptimizer(cfg).optimize({inst.s, inst.p}, builtin,
                                            inst.initial);
-  const auto b = SaOptimizer(cfg).optimize(inst.s, inst.p, custom,
+  const auto b = SaOptimizer(cfg).optimize({inst.s, inst.p}, custom,
                                            inst.initial);
   EXPECT_EQ(b.allocation, a.allocation);
   EXPECT_DOUBLE_EQ(b.objective, a.objective);
@@ -303,7 +303,7 @@ TEST(ExhaustiveOptimum, GrayCodeMatchesBruteForce) {
   double best = -1.0;
   std::vector<CoreId> best_alloc;
   for (;;) {
-    const double v = evaluate_allocation(inst.s, inst.p, obj, alloc);
+    const double v = evaluate_allocation({inst.s, inst.p}, obj, alloc);
     if (v > best) {
       best = v;
       best_alloc = alloc;
@@ -314,9 +314,9 @@ TEST(ExhaustiveOptimum, GrayCodeMatchesBruteForce) {
     ++alloc[i];
   }
 
-  const auto gray = exhaustive_optimum(inst.s, inst.p, obj);
+  const auto gray = exhaustive_optimum({inst.s, inst.p}, obj);
   EXPECT_NEAR(gray.objective, best, 1e-9 * best);
-  EXPECT_NEAR(evaluate_allocation(inst.s, inst.p, obj, gray.allocation),
+  EXPECT_NEAR(evaluate_allocation({inst.s, inst.p}, obj, gray.allocation),
               best, 1e-9 * best)
       << "reported allocation must actually achieve the optimum";
 }
@@ -330,16 +330,16 @@ TEST(SaOptimizer, DriftResyncKeepsObjectiveConsistent) {
   SaConfig cfg;
   cfg.seed = 5;
   cfg.max_iterations = 60000;
-  const auto r = SaOptimizer(cfg).optimize(inst.s, inst.p, obj, inst.initial);
+  const auto r = SaOptimizer(cfg).optimize({inst.s, inst.p}, obj, inst.initial);
   EXPECT_GE(r.resyncs, 0);
-  EXPECT_NEAR(evaluate_allocation(inst.s, inst.p, obj, r.allocation),
+  EXPECT_NEAR(evaluate_allocation({inst.s, inst.p}, obj, r.allocation),
               r.objective, 1e-9 * std::max(1.0, r.objective));
 }
 
 TEST(SaOptimizer, HostTimeRecorded) {
   const auto inst = random_instance(8, 4, 99);
   EnergyEfficiencyObjective obj;
-  const auto r = SaOptimizer().optimize(inst.s, inst.p, obj, inst.initial);
+  const auto r = SaOptimizer().optimize({inst.s, inst.p}, obj, inst.initial);
   EXPECT_GT(r.host_ns, 0);
   EXPECT_GT(r.iterations, 0);
 }

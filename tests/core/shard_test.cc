@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "arch/platform.h"
+#include "arch/platform_loader.h"
 #include "common/rng.h"
 #include "core/objective.h"
 #include "core/sa_optimizer.h"
@@ -268,9 +269,9 @@ Instance random_instance(const arch::Platform& platform, std::size_t m,
 }
 
 TEST(ShardedBalancer, SingleShardIsBitIdenticalToUnshardedOptimizer) {
-  // The contract behind the --shards=1 golden equivalence: one shard means
-  // the sub-problem IS the problem and shard 0's seed IS the pass seed, so
-  // the merged result must replay the unsharded annealing trajectory
+  // The contract behind the default K = 1 balance path: one shard means the
+  // problem goes to the optimizer as is and shard 0's seed IS the pass
+  // seed, so the result must be the plain optimizer's annealing trajectory
   // bit for bit — exact ==, not tolerance.
   const auto platform = arch::Platform::scaled_heterogeneous(1);
   const auto inst = random_instance(platform, 8, 42);
@@ -279,24 +280,137 @@ TEST(ShardedBalancer, SingleShardIsBitIdenticalToUnshardedOptimizer) {
   sa.max_iterations = 2000;
   const std::uint64_t pass_seed = 0xfeedULL;
 
-  ShardingConfig cfg;
-  cfg.shards = 1;
-  ShardedBalancer sharded(platform, cfg, sa);
-  const SaResult a =
-      sharded.balance(0, pass_seed, inst.s, inst.p, obj, inst.initial,
-                      inst.affinity, inst.demand, nullptr, 0);
-
   SaOptimizer ref(sa);
   ref.set_seed(pass_seed);
-  const SaResult b = ref.optimize(inst.s, inst.p, obj, inst.initial,
+  const SaResult b = ref.optimize({inst.s, inst.p}, obj, inst.initial,
                                   &inst.affinity, &inst.demand);
 
-  EXPECT_EQ(a.allocation, b.allocation);
-  EXPECT_EQ(a.objective, b.objective);
-  EXPECT_EQ(a.initial_objective, b.initial_objective);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.accepted_worse, b.accepted_worse);
-  EXPECT_EQ(a.improved, b.improved);
+  // K = 0 (the default) and an explicit K = 1 are the same one-shard pass.
+  for (const int shards : {0, 1}) {
+    ShardingConfig cfg;
+    cfg.shards = shards;
+    ShardedBalancer sharded(platform, cfg, sa);
+    EXPECT_EQ(sharded.partition().num_shards(), 1);
+    const SaResult a =
+        sharded.balance(0, pass_seed, {inst.s, inst.p}, obj, inst.initial,
+                        inst.affinity, inst.demand, nullptr, 0);
+    EXPECT_EQ(a.allocation, b.allocation) << "K=" << shards;
+    EXPECT_EQ(a.objective, b.objective) << "K=" << shards;
+    EXPECT_EQ(a.initial_objective, b.initial_objective) << "K=" << shards;
+    EXPECT_EQ(a.iterations, b.iterations) << "K=" << shards;
+    EXPECT_EQ(a.accepted_worse, b.accepted_worse) << "K=" << shards;
+    EXPECT_EQ(a.improved, b.improved) << "K=" << shards;
+  }
+}
+
+TEST(ShardedBalancer, ShardViewsMatchDenseShardCopies) {
+  // A shard anneals on sp.sub(rows, cells) of the compact m×G
+  // characterization. Copy each shard's dense sub-matrix here, anneal it,
+  // and require the view-based pass to land on the same allocation,
+  // objective and iteration count — per shard and merged.
+  const auto platform = arch::generate_platform("4x12:4");  // 64 cores
+  const auto n = static_cast<std::size_t>(platform.num_cores());
+  const std::size_t m = 2 * n;
+  Rng rng(31);
+  std::vector<std::uint32_t> group_of(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    group_of[j] = static_cast<std::uint32_t>(
+        platform.type_of(static_cast<CoreId>(j)));
+  }
+  const std::size_t g = static_cast<std::size_t>(platform.num_types());
+  Matrix s(m, g), p(m, g);
+  std::vector<CoreId> initial;
+  std::vector<std::bitset<kMaxCores>> affinity(m);
+  std::vector<double> demand;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t c = 0; c < g; ++c) {
+      s.at(i, c) = rng.uniform(0.1, 4.0);
+      p.at(i, c) = rng.uniform(0.05, 3.0);
+    }
+    initial.push_back(
+        static_cast<CoreId>(rng.randi(0, static_cast<std::int64_t>(n))));
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j % 7 != i % 7) affinity[i].set(j);
+    }
+    affinity[i].set(static_cast<std::size_t>(initial.back()));
+    demand.push_back(i % 3 == 0 ? -1.0 : rng.uniform(0.05, 2.0));
+  }
+  const SpView view(s, p, group_of);
+  EnergyEfficiencyObjective obj;
+  SaConfig sa;
+  sa.max_iterations = 4000;
+  const std::uint64_t seed = 0xabcdULL;
+
+  for (const int k : {4, 32}) {
+    ShardingConfig cfg;
+    cfg.shards = k;
+    cfg.jobs = 2;
+    cfg.exchange_moves = 0;  // the merged result is the shard passes alone
+    ShardedBalancer balancer(platform, cfg, sa);
+    const SaResult merged = balancer.balance(0, seed, view, obj, initial,
+                                             affinity, demand, nullptr, 0);
+
+    const ShardPartition part = make_shard_partition(platform, k);
+    std::vector<CoreId> expect_alloc = initial;
+    int expect_iterations = 0;
+    for (std::size_t ki = 0; ki < part.cores.size(); ++ki) {
+      const std::vector<CoreId>& cores = part.cores[ki];
+      std::vector<std::size_t> rows;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (part.shard_of[static_cast<std::size_t>(initial[i])] ==
+            static_cast<int>(ki)) {
+          rows.push_back(i);
+        }
+      }
+      if (rows.empty()) continue;
+      const std::size_t sm = rows.size();
+      const std::size_t sn = cores.size();
+      Matrix ds(sm, sn), dp(sm, sn);
+      std::vector<CoreId> local_initial(sm);
+      std::vector<std::bitset<kMaxCores>> local_affinity(sm);
+      std::vector<double> local_demand(sm);
+      std::vector<std::uint32_t> cells(sn);
+      for (std::size_t j = 0; j < sn; ++j) {
+        cells[j] = group_of[static_cast<std::size_t>(cores[j])];
+      }
+      for (std::size_t r = 0; r < sm; ++r) {
+        const std::size_t i = rows[r];
+        for (std::size_t j = 0; j < sn; ++j) {
+          const auto cj = static_cast<std::size_t>(cores[j]);
+          ds.at(r, j) = view.s(i, cj);
+          dp.at(r, j) = view.p(i, cj);
+          if (affinity[i].test(cj)) local_affinity[r].set(j);
+          if (cores[j] == initial[i]) {
+            local_initial[r] = static_cast<CoreId>(j);
+          }
+        }
+        local_demand[r] = demand[i];
+      }
+      const auto restricted = obj.restrict_to_cores(cores);
+      const auto run = [&](const SpView& shard_view) {
+        SaOptimizer opt(sa);
+        opt.set_seed(seed ^ (static_cast<std::uint64_t>(ki) *
+                             0x9e3779b97f4a7c15ULL));
+        opt.set_max_iterations(std::max(100, sa.max_iterations / k));
+        return opt.optimize(shard_view, *restricted, local_initial,
+                            &local_affinity, &local_demand);
+      };
+      const SaResult dense = run({ds, dp});
+      const SaResult viewed = run(view.sub(rows, cells));
+      const std::string where =
+          "K=" + std::to_string(k) + " shard " + std::to_string(ki);
+      EXPECT_EQ(viewed.allocation, dense.allocation) << where;
+      EXPECT_EQ(viewed.objective, dense.objective) << where;
+      EXPECT_EQ(viewed.iterations, dense.iterations) << where;
+      for (std::size_t r = 0; r < sm; ++r) {
+        expect_alloc[rows[r]] =
+            cores[static_cast<std::size_t>(dense.allocation[r])];
+      }
+      expect_iterations += dense.iterations;
+    }
+    EXPECT_EQ(merged.allocation, expect_alloc) << "K=" << k;
+    EXPECT_EQ(merged.iterations, expect_iterations) << "K=" << k;
+  }
 }
 
 TEST(ShardedBalancer, ResultsIndependentOfWorkerCount) {
@@ -314,7 +428,7 @@ TEST(ShardedBalancer, ResultsIndependentOfWorkerCount) {
     cfg.shards = 4;
     cfg.jobs = jobs;
     ShardedBalancer b(platform, cfg, sa);
-    return b.balance(0, 0x1234ULL, inst.s, inst.p, obj, inst.initial,
+    return b.balance(0, 0x1234ULL, {inst.s, inst.p}, obj, inst.initial,
                      inst.affinity, inst.demand, nullptr, 0);
   };
   const SaResult seq = run(1);
@@ -338,7 +452,7 @@ TEST(ShardedBalancer, MergedObjectiveNeverWorseThanInitial) {
     cfg.shards = 4;
     ShardedBalancer b(platform, cfg, sa);
     const SaResult r =
-        b.balance(0, seed, inst.s, inst.p, obj, inst.initial, inst.affinity,
+        b.balance(0, seed, {inst.s, inst.p}, obj, inst.initial, inst.affinity,
                   inst.demand, nullptr, 0);
     EXPECT_GE(r.objective, r.initial_objective - 1e-9) << "seed " << seed;
     ASSERT_EQ(r.allocation.size(), inst.initial.size());
@@ -368,7 +482,7 @@ TEST(ShardedBalancer, RespectsAffinityMasks) {
   sa.max_iterations = 1000;
   EnergyEfficiencyObjective obj;
   ShardedBalancer b(platform, cfg, sa);
-  const SaResult r = b.balance(0, 5, inst.s, inst.p, obj, inst.initial,
+  const SaResult r = b.balance(0, 5, {inst.s, inst.p}, obj, inst.initial,
                                inst.affinity, inst.demand, nullptr, 0);
   EXPECT_EQ(r.allocation, inst.initial);
   EXPECT_EQ(b.last_pass().exchange_moves, 0);

@@ -104,8 +104,8 @@ TEST_F(SmartBalanceTest, BuildsFullCharacterizationMatrices) {
   EXPECT_EQ(mx.num_cores(), 4u);
   for (std::size_t i = 0; i < mx.num_threads(); ++i) {
     for (std::size_t j = 0; j < mx.num_cores(); ++j) {
-      EXPECT_GT(mx.s.at(i, j), 0.0) << i << "," << j;
-      EXPECT_GT(mx.p.at(i, j), 0.0) << i << "," << j;
+      EXPECT_GT(mx.s_at(i, static_cast<CoreId>(j)), 0.0) << i << "," << j;
+      EXPECT_GT(mx.p_at(i, static_cast<CoreId>(j)), 0.0) << i << "," << j;
     }
   }
 }

@@ -1,5 +1,5 @@
 // End-to-end tests for sharded hierarchical balancing riding the full
-// simulator: --shards=1 is bit-identical to the unsharded golden path,
+// simulator: --shards=1 is bit-identical to the default one-shard path,
 // sharded results are independent of both the intra-epoch worker count and
 // the experiment-runner worker count, the shard accounting rides the JSON
 // report, and the trace grows the shard.pass/shard.exchange anatomy that
@@ -49,18 +49,37 @@ void expect_same_numbers(const SimulationResult& a, const SimulationResult& b) {
 }
 
 TEST(ShardIntegration, OneShardIsBitIdenticalToUnshardedGoldenPath) {
-  // shards=1 routes through the shard machinery (partition, sub-problem
-  // extraction, merge) but must replay the unsharded annealing trajectory
-  // exactly: seed stride × shard 0 = the pass seed, identity column map,
-  // direct sub-result return. Any drift here would silently invalidate the
-  // fig4a/fig4b/fig5/fig8 goldens' equivalence claim.
+  // The default (no --shards) and shards=1 both take the one-shard balance
+  // path and must anneal the same trajectory exactly: seed stride × shard 0
+  // = the pass seed, the whole view, the result returned as is. Only the
+  // reporting differs (shards=1 adds the shard accounting). Any drift here
+  // would silently invalidate the fig4a/fig4b/fig5/fig8 goldens.
   const SimulationResult plain = run_smart(base_cfg());
   core::SmartBalanceConfig sc;
   sc.sharding = core::ShardingConfig::parse("1");
   const SimulationResult one = run_smart(base_cfg(), sc);
   expect_same_numbers(plain, one);
+  EXPECT_EQ(plain.shards, 0);
   EXPECT_EQ(one.shards, 1);
   EXPECT_GT(one.shard_passes, 0u);
+}
+
+TEST(ShardIntegration, DefaultPathReportsAsThePlainOptimizer) {
+  // Without --shards the one-shard pass exports the optimizer's sa.*
+  // telemetry and nothing under shard.*: unsharded exports keep their
+  // schema even though every pass runs through the sharded balancer.
+  SimulationConfig cfg = base_cfg();
+  cfg.obs.metrics = true;
+  cfg.obs.trace = true;
+  const SimulationResult r = run_smart(cfg);
+  ASSERT_NE(r.obs, nullptr);
+  const auto& m = r.obs->metrics;
+  ASSERT_GT(m.counters().count("sa.calls"), 0u);
+  EXPECT_GT(m.counters().at("sa.calls").value, 0u);
+  for (const auto& [name, c] : m.counters()) {
+    EXPECT_NE(name.rfind("shard.", 0), 0u) << name;
+  }
+  EXPECT_EQ(m.histograms().count("shard.pass_ns"), 0u);
 }
 
 TEST(ShardIntegration, OneShardAuditExportIsByteIdentical) {
@@ -132,7 +151,7 @@ TEST(ShardIntegration, TraceGrowsShardAnatomy) {
   ASSERT_GT(m.counters().count("shard.passes"), 0u);
   EXPECT_GT(m.counters().at("shard.passes").value, 0u);
   EXPECT_GT(m.histograms().at("shard.pass_ns").count(), 0u);
-  // The unsharded optimizer never runs, so its counters never appear.
+  // Shard passes report as shard.*, never as the plain optimizer's sa.*.
   EXPECT_EQ(m.counters().count("sa.calls"), 0u);
 
   std::ostringstream os;

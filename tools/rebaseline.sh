@@ -18,7 +18,7 @@
 # Envelope rules (matching tools/check_bench.py's gates):
 #   min over reps   ns_per_iteration, ns_per_call, total_us, min_pass_ns,
 #                   pass_cost_index, allocs_per_call, allocs_per_pass,
-#                   sense_us, predict_us, optimize_us, migrate_us
+#                   sense_us, predict_us, optimize_us, migrate_model_us
 #   max over reps   iterations_per_sec
 #   first rep       everything else (descriptions, counts, derived
 #                   percentages — informational, not gated)
@@ -106,7 +106,7 @@ import sys
 work, reps = sys.argv[1], int(sys.argv[2])
 MIN_KEYS = {"ns_per_iteration", "ns_per_call", "total_us", "min_pass_ns",
             "pass_cost_index", "allocs_per_call", "allocs_per_pass",
-            "sense_us", "predict_us", "optimize_us", "migrate_us",
+            "sense_us", "predict_us", "optimize_us", "migrate_model_us",
             "opt_exchange_us_per_core", "sa_cpu_us_per_pass",
             "exchange_us_per_pass", "sublinear_violations",
             "advantage_lost_pct"}
