@@ -1,14 +1,18 @@
 // Shared helpers for the table/figure reproduction harnesses.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parallel.h"
+#include "common/spec.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
 #include "obs/audit_writer.h"
@@ -53,21 +57,26 @@ struct Options {
 
   static Options parse(int argc, char** argv) {
     Options o;
+    std::string_view tool = argv[0];
+    tool.remove_prefix(tool.find_last_of('/') + 1);  // npos + 1 == 0
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
       if (a == "--quick") {
         o.quick = true;
         o.duration = milliseconds(240);
       } else if (a.rfind("--seed=", 0) == 0) {
-        o.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
+        o.seed = spec::flag_u64(tool, "--seed", a.substr(7));
       } else if (a.rfind("--duration-ms=", 0) == 0) {
-        o.duration = milliseconds(std::strtoll(a.c_str() + 14, nullptr, 10));
+        o.duration = milliseconds(
+            spec::flag_int(tool, "--duration-ms", a.substr(14), 1,
+                           kMaxDurationMs));
       } else if (a.rfind("--jobs=", 0) == 0) {
-        o.jobs = std::atoi(a.c_str() + 7);
+        o.jobs = static_cast<int>(
+            spec::flag_int(tool, "--jobs", a.substr(7), 0, common::kMaxJobs));
       } else if (a.rfind("--faults=", 0) == 0) {
         o.faults = a.substr(9);
       } else if (a.rfind("--fault-seed=", 0) == 0) {
-        o.fault_seed = std::strtoull(a.c_str() + 13, nullptr, 10);
+        o.fault_seed = spec::flag_u64(tool, "--fault-seed", a.substr(13));
       } else if (a == "--no-defense") {
         o.no_defense = true;
       } else if (a.rfind("--trace=", 0) == 0) {
@@ -93,6 +102,12 @@ struct Options {
     if (o.trace.empty()) {
       if (const char* env = std::getenv("SB_TRACE")) o.trace = env;
     }
+    try {
+      (void)o.fault_plan();
+    } catch (const std::invalid_argument& e) {
+      std::cerr << tool << ": --faults: " << e.what() << "\n";
+      std::exit(2);
+    }
     return o;
   }
 
@@ -108,8 +123,10 @@ struct Options {
   /// FaultPlan::uniform(R); empty/zero-rate specs yield an empty plan).
   fault::FaultPlan fault_plan() const {
     if (faults.rfind("uniform:", 0) == 0) {
-      return fault::FaultPlan::uniform(std::strtod(faults.c_str() + 8, nullptr),
-                                       fault_seed);
+      // A malformed rate reads as nan, which uniform() rejects.
+      return fault::FaultPlan::uniform(
+          spec::parse_double(faults.substr(8)).value_or(std::nan("")),
+          fault_seed);
     }
     return fault::FaultPlan::parse(faults, fault_seed);
   }

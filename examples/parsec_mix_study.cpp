@@ -3,10 +3,10 @@
 // the per-core energy/throughput breakdown for each.
 //
 //   ./build/examples/parsec_mix_study [mix-id 1..6] [threads-per-member]
-#include <cstdlib>
 #include <iostream>
 
 #include "arch/platform.h"
+#include "common/spec.h"
 #include "sim/experiment.h"
 #include "sim/runner.h"
 #include "sim/simulation.h"
@@ -14,12 +14,13 @@
 
 int main(int argc, char** argv) {
   using namespace sb;
-  const int mix_id = argc > 1 ? std::atoi(argv[1]) : 6;
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 2;
-  if (mix_id < 1 || mix_id > workload::num_mixes() || threads < 1) {
-    std::cerr << "usage: parsec_mix_study [mix 1..6] [threads-per-member]\n";
-    return 2;
-  }
+  const auto arg = [&](int i, const char* what, int fallback, int hi) {
+    return argc > i ? static_cast<int>(spec::flag_int("parsec_mix_study",
+                                                      what, argv[i], 1, hi))
+                    : fallback;
+  };
+  const int mix_id = arg(1, "mix", 6, workload::num_mixes());
+  const int threads = arg(2, "threads", 2, 1024);
 
   std::cout << "Mix" << mix_id << " members:";
   for (const auto& m : workload::mix_members(mix_id)) std::cout << ' ' << m;

@@ -1,12 +1,13 @@
 #include "arch/platform_loader.h"
 
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "arch/core_params.h"
+#include "common/spec.h"
 #include "common/types.h"
 
 namespace sb::arch {
@@ -76,8 +77,13 @@ Platform load_platform(std::istream& is) {
           count_tok[0] != 'x') {
         fail(lineno, "expected 'core <name> x<count>'");
       }
-      count = std::atoi(count_tok.c_str() + 1);
-      if (count <= 0) fail(lineno, "core count must be positive");
+      const auto n = spec::parse_int(std::string_view(count_tok).substr(1), 1,
+                                     kMaxCores);
+      if (!n) {
+        fail(lineno, "core count '" + count_tok.substr(1) + "' not in [1, " +
+                         std::to_string(kMaxCores) + "]");
+      }
+      count = static_cast<int>(*n);
       current = medium_core();  // defaults
       current.name = name;
       in_block = true;
@@ -87,14 +93,19 @@ Platform load_platform(std::istream& is) {
     if (!in_block) fail(lineno, "field before any 'core' block: " + key);
     const auto it = fields().find(key);
     if (it == fields().end()) fail(lineno, "unknown field: " + key);
-    double value = 0;
-    if (!(ls >> value)) fail(lineno, "missing numeric value for " + key);
+    std::string tok;
+    if (!(ls >> tok)) fail(lineno, "missing numeric value for " + key);
     std::string extra;
     if (ls >> extra) fail(lineno, "trailing junk after " + key);
     if (it->second.dmember) {
-      current.*(it->second.dmember) = value;
+      const auto v = spec::parse_double(tok);
+      if (!v) fail(lineno, key + ": '" + tok + "' is not a finite number");
+      current.*(it->second.dmember) = *v;
     } else {
-      current.*(it->second.imember) = static_cast<int>(value);
+      const auto v = spec::parse_int(tok, std::numeric_limits<int>::min(),
+                                     std::numeric_limits<int>::max());
+      if (!v) fail(lineno, key + ": '" + tok + "' is not an integer");
+      current.*(it->second.imember) = static_cast<int>(*v);
     }
   }
   flush();
@@ -108,26 +119,22 @@ Platform load_platform_file(const std::string& path) {
   return load_platform(is);
 }
 
-Platform generate_platform(const std::string& spec) {
-  auto bad = [&spec](const std::string& why) -> std::invalid_argument {
+Platform generate_platform(const std::string& text) {
+  auto bad = [&text](const std::string& why) -> std::invalid_argument {
     return std::invalid_argument("generate_platform: " + why + " in '" +
-                                 spec + "' (expected <big>x<LITTLE>[:clusters])");
+                                 text + "' (expected <big>x<LITTLE>[:clusters])");
   };
-  auto parse_count = [&](const std::string& tok, const char* what, long lo) {
-    if (tok.empty()) throw bad(std::string("empty ") + what);
-    char* end = nullptr;
-    const long v = std::strtol(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + tok.size() || v < lo || v > kMaxCores) {
-      throw bad(std::string("bad ") + what + " '" + tok + "'");
-    }
-    return static_cast<int>(v);
+  auto parse_count = [&](const std::string& tok, const char* what, int lo) {
+    const auto v = spec::parse_int(tok, lo, kMaxCores);
+    if (!v) throw bad(std::string("bad ") + what + " '" + tok + "'");
+    return static_cast<int>(*v);
   };
 
-  std::string counts = spec;
+  std::string counts = text;
   int clusters = 1;
-  if (const auto colon = spec.find(':'); colon != std::string::npos) {
-    counts = spec.substr(0, colon);
-    clusters = parse_count(spec.substr(colon + 1), "cluster count", 1);
+  if (const auto colon = text.find(':'); colon != std::string::npos) {
+    counts = text.substr(0, colon);
+    clusters = parse_count(text.substr(colon + 1), "cluster count", 1);
   }
   const auto x = counts.find('x');
   if (x == std::string::npos) throw bad("missing 'x'");
@@ -149,24 +156,22 @@ Platform generate_platform(const std::string& spec) {
 }
 
 void save_platform(std::ostream& os, const Platform& platform) {
+  const CoreParams defaults = medium_core();
+  std::string line;
   for (CoreTypeId t = 0; t < platform.num_types(); ++t) {
     const CoreParams& p = platform.params_of_type(t);
     os << "core " << p.name << " x" << platform.cores_of_type(t).size()
        << "\n";
-    const CoreParams defaults = [] {
-      auto d = medium_core();
-      return d;
-    }();
     for (const auto& [name, field] : fields()) {
-      double v, dv;
+      line = "  " + name + ' ';
       if (field.dmember) {
-        v = p.*(field.dmember);
-        dv = defaults.*(field.dmember);
+        if (p.*(field.dmember) == defaults.*(field.dmember)) continue;
+        spec::append_double(line, p.*(field.dmember));
       } else {
-        v = p.*(field.imember);
-        dv = defaults.*(field.imember);
+        if (p.*(field.imember) == defaults.*(field.imember)) continue;
+        spec::append_int(line, p.*(field.imember));
       }
-      if (v != dv) os << "  " << name << ' ' << v << "\n";
+      os << line << '\n';
     }
   }
 }

@@ -7,17 +7,18 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/spec.h"
 
 namespace sb::common {
 
 int resolve_jobs(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("SB_JOBS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<int>(v);
-    log_warn() << "SB_JOBS='" << env << "' is not a positive integer; "
-               << "falling back to hardware concurrency";
+    if (const auto v = spec::parse_int(env, 1, kMaxJobs)) {
+      return static_cast<int>(*v);
+    }
+    log_warn() << "SB_JOBS='" << env << "' is not an integer in [1, "
+               << kMaxJobs << "]; falling back to hardware concurrency";
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -16,9 +16,14 @@
 
 namespace sb::common {
 
+/// Largest worker count SB_JOBS may name; beyond it the value is rejected
+/// rather than spawning that many threads.
+inline constexpr int kMaxJobs = 4096;
+
 /// Resolves a worker count: `requested` if > 0, else the SB_JOBS
-/// environment variable if set to a positive integer (a malformed value
-/// logs a warning), else std::thread::hardware_concurrency() (at least 1).
+/// environment variable if it is an integer in [1, kMaxJobs] (any other
+/// value logs a warning), else std::thread::hardware_concurrency() (at
+/// least 1).
 int resolve_jobs(int requested);
 
 /// Runs fn(task) for every task in [0, n), spread over at most `threads`

@@ -45,4 +45,8 @@ inline constexpr TimeNs kTimeNever = std::numeric_limits<TimeNs>::max();
 /// cores; affinity masks are sized exactly for that ceiling).
 inline constexpr int kMaxCores = 1024;
 
+/// Longest simulated window the command-line tools accept (about 11.6
+/// simulated days); anything beyond it is a typo, not an experiment.
+inline constexpr std::int64_t kMaxDurationMs = 1'000'000'000;
+
 }  // namespace sb

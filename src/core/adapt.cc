@@ -1,8 +1,9 @@
 #include "core/adapt.h"
 
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/spec.h"
 
 namespace sb::core {
 namespace {
@@ -14,60 +15,21 @@ double relative_residual(double observed, double predicted) {
   return (observed - predicted) / observed;
 }
 
-/// std::stod/std::stoi throw std::out_of_range (not std::invalid_argument)
-/// on out-of-range values, so numeric fields go through these wrappers to
-/// keep parse()'s documented contract (mirrors fault_plan.cc).
-double parse_double(const std::string& s, const std::string& entry,
-                    const char* what) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
+[[noreturn]] void bad(const char* what, const std::string& entry) {
+  throw std::invalid_argument("Adaptation: bad " + std::string(what) +
+                              " in '" + entry + "'");
 }
 
-long long parse_ll(const std::string& s, const std::string& entry,
-                   const char* what) {
-  std::size_t pos = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("Adaptation: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  parts.push_back(cur);
-  return parts;
+/// The number `tok` of `entry`, which must lie in [lo, hi].
+double field(const std::string& tok, const std::string& entry,
+             const char* what, double lo, double hi) {
+  const auto v = spec::parse_double(tok, lo, hi);
+  if (!v) bad(what, entry);
+  return *v;
 }
 
 void parse_entry(const std::string& entry, AdaptationConfig* cfg) {
-  const std::vector<std::string> parts = split(entry, ':');
+  const std::vector<std::string> parts = spec::split(entry, ':');
   const std::string& key = parts[0];
   if (key == "bias") {
     if (parts.size() > 3) {
@@ -76,18 +38,10 @@ void parse_entry(const std::string& entry, AdaptationConfig* cfg) {
     }
     cfg->bias = true;
     if (parts.size() >= 2) {
-      cfg->bias_alpha = parse_double(parts[1], entry, "alpha");
-      if (!(cfg->bias_alpha > 0.0) || cfg->bias_alpha > 1.0) {
-        throw std::invalid_argument("Adaptation: bad alpha in '" + entry +
-                                    "'");
-      }
+      cfg->bias_alpha = field(parts[1], entry, "alpha", spec::kAboveZero, 1.0);
     }
     if (parts.size() == 3) {
-      cfg->gain_clamp = parse_double(parts[2], entry, "clamp");
-      if (!(cfg->gain_clamp >= 0.0) || cfg->gain_clamp > 4.0) {
-        throw std::invalid_argument("Adaptation: bad clamp in '" + entry +
-                                    "'");
-      }
+      cfg->gain_clamp = field(parts[2], entry, "clamp", 0.0, 4.0);
     }
   } else if (key == "rls") {
     if (parts.size() > 4) {
@@ -96,95 +50,73 @@ void parse_entry(const std::string& entry, AdaptationConfig* cfg) {
     }
     cfg->rls = true;
     if (parts.size() >= 2) {
-      cfg->rls_lambda = parse_double(parts[1], entry, "lambda");
-      if (!(cfg->rls_lambda >= 0.5) || cfg->rls_lambda > 1.0) {
-        throw std::invalid_argument("Adaptation: bad lambda in '" + entry +
-                                    "'");
-      }
+      cfg->rls_lambda = field(parts[1], entry, "lambda", 0.5, 1.0);
     }
     if (parts.size() >= 3) {
-      cfg->rls_p0 = parse_double(parts[2], entry, "p0");
-      if (!(cfg->rls_p0 > 0.0) || cfg->rls_p0 > 1e12) {
-        throw std::invalid_argument("Adaptation: bad p0 in '" + entry + "'");
-      }
+      cfg->rls_p0 = field(parts[2], entry, "p0", spec::kAboveZero, 1e12);
     }
     if (parts.size() == 4) {
-      const long long reset = parse_ll(parts[3], entry, "reset");
-      if (reset != 0 && reset != 1) {
-        throw std::invalid_argument("Adaptation: bad reset in '" + entry +
-                                    "'");
-      }
-      cfg->rls_reset_on_drift = reset == 1;
+      const auto reset = spec::parse_int(parts[3], 0, 1);
+      if (!reset) bad("reset", entry);
+      cfg->rls_reset_on_drift = *reset == 1;
     }
   } else if (key == "drift") {
     if (parts.size() < 2 || parts.size() > 3) {
       throw std::invalid_argument("Adaptation: malformed entry '" + entry +
                                   "' (want drift:threshold[:min_joins])");
     }
-    cfg->drift_threshold = parse_double(parts[1], entry, "threshold");
-    if (!(cfg->drift_threshold > 0.0) || cfg->drift_threshold > 100.0) {
-      throw std::invalid_argument("Adaptation: bad threshold in '" + entry +
-                                  "'");
-    }
+    cfg->drift_threshold =
+        field(parts[1], entry, "threshold", spec::kAboveZero, 100.0);
     if (parts.size() == 3) {
-      const long long joins = parse_ll(parts[2], entry, "min_joins");
-      if (joins < 1 || joins > 1000000) {
-        throw std::invalid_argument("Adaptation: bad min_joins in '" + entry +
-                                    "'");
-      }
-      cfg->drift_min_joins = static_cast<std::uint64_t>(joins);
+      const auto joins = spec::parse_u64(parts[2], 1, 1000000);
+      if (!joins) bad("min_joins", entry);
+      cfg->drift_min_joins = *joins;
     }
   } else {
     throw std::invalid_argument("Adaptation: unknown entry '" + entry + "'");
   }
 }
 
-void append_value(std::ostream& os, double v) { os << v; }
-
 }  // namespace
 
 AdaptationConfig AdaptationConfig::parse(const std::string& text) {
   AdaptationConfig cfg;
-  std::string entry;
-  std::istringstream is(text);
-  while (std::getline(is, entry, ',')) {
-    if (entry.empty()) continue;
-    parse_entry(entry, &cfg);
+  for (const std::string& entry : spec::split(text, ',')) {
+    if (!entry.empty()) parse_entry(entry, &cfg);
   }
   return cfg;
 }
 
 std::string AdaptationConfig::to_string() const {
-  std::ostringstream os;
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ',';
-    first = false;
+  std::string out;
+  const auto entry = [&](const char* key) {
+    if (!out.empty()) out += ',';
+    out += key;
+  };
+  const auto value = [&](double v) {
+    out += ':';
+    spec::append_double(out, v);
   };
   if (bias) {
-    sep();
-    os << "bias:";
-    append_value(os, bias_alpha);
-    os << ':';
-    append_value(os, gain_clamp);
+    entry("bias");
+    value(bias_alpha);
+    value(gain_clamp);
   }
   if (rls) {
-    sep();
-    os << "rls:";
-    append_value(os, rls_lambda);
-    os << ':';
-    append_value(os, rls_p0);
-    os << ':' << (rls_reset_on_drift ? 1 : 0);
+    entry("rls");
+    value(rls_lambda);
+    value(rls_p0);
+    out += rls_reset_on_drift ? ":1" : ":0";
   }
   const AdaptationConfig defaults;
   if (drift_threshold != defaults.drift_threshold ||
       drift_min_joins != defaults.drift_min_joins) {
-    sep();
-    os << "drift:";
-    append_value(os, drift_threshold);
-    os << ':' << drift_min_joins;
+    entry("drift");
+    value(drift_threshold);
+    out += ':';
+    spec::append_u64(out, drift_min_joins);
   }
-  return os.str();
+  return out;
 }
 
 bool AdaptationConfig::operator==(const AdaptationConfig& o) const {

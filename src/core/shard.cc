@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
 #include "common/parallel.h"
+#include "common/spec.h"
 #include "obs/sink.h"
 
 namespace sb::core {
@@ -20,26 +19,13 @@ using Clock = std::chrono::steady_clock;
 /// seed unchanged, so a one-shard pass anneals the policy's own trajectory.
 constexpr std::uint64_t kShardSeedStride = 0x9e3779b97f4a7c15ULL;
 
-int parse_int_field(const std::string& tok, const char* what, long lo,
-                    long hi) {
-  if (tok.empty()) {
-    throw std::invalid_argument(std::string("ShardingConfig: empty ") + what);
-  }
-  // strtol would skip leading whitespace and accept a '+' sign; the config
-  // grammar is digits only.
-  for (const char c : tok) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument(std::string("ShardingConfig: bad ") + what +
-                                  " '" + tok + "'");
-    }
-  }
-  char* end = nullptr;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (end != tok.c_str() + tok.size() || v < lo || v > hi) {
+int parse_field(const std::string& tok, const char* what, int hi) {
+  const auto v = spec::parse_int(tok, 0, hi);
+  if (!v) {
     throw std::invalid_argument(std::string("ShardingConfig: bad ") + what +
                                 " '" + tok + "'");
   }
-  return static_cast<int>(v);
+  return static_cast<int>(*v);
 }
 
 /// Evaluates the merged global objective for an explicit allocation with
@@ -86,28 +72,20 @@ double merged_objective(const SpView& sp, const BalanceObjective& objective,
 
 }  // namespace
 
-ShardingConfig ShardingConfig::parse(const std::string& spec) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = spec.find(':', start);
-    fields.push_back(spec.substr(
-        start, colon == std::string::npos ? std::string::npos : colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
+ShardingConfig ShardingConfig::parse(const std::string& text) {
+  const std::vector<std::string> fields = spec::split(text, ':');
   if (fields.size() > 3) {
-    throw std::invalid_argument("ShardingConfig: expected K[:jobs[:moves]], got '" +
-                                spec + "'");
+    throw std::invalid_argument(
+        "ShardingConfig: expected K[:jobs[:moves]], got '" + text + "'");
   }
   ShardingConfig cfg;
-  cfg.shards = parse_int_field(fields[0], "shard count", 0, kMaxCores);
+  cfg.shards = parse_field(fields[0], "shard count", kMaxCores);
   if (fields.size() > 1) {
-    cfg.jobs = parse_int_field(fields[1], "job count", 0, 4096);
+    cfg.jobs = parse_field(fields[1], "job count", common::kMaxJobs);
   }
   if (fields.size() > 2) {
     cfg.exchange_moves =
-        parse_int_field(fields[2], "exchange move budget", 0, 1 << 20);
+        parse_field(fields[2], "exchange move budget", 1 << 20);
   }
   return cfg;
 }

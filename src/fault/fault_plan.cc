@@ -1,9 +1,9 @@
 #include "fault/fault_plan.h"
 
-#include <cmath>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/spec.h"
 
 namespace sb::fault {
 namespace {
@@ -12,85 +12,36 @@ constexpr const char* kNames[kNumFaultClasses] = {
     "wrap", "sat", "drop", "dup", "stuck", "noise", "delay", "reject",
     "blackout"};
 
-/// std::stod/std::stoi throw std::out_of_range (not std::invalid_argument)
-/// on values outside the representable range ("wrap:1e999",
-/// "wrap:0.1:1:99999999999999999999" — found by the grammar fuzz test), so
-/// numeric fields go through these wrappers to keep parse()'s documented
-/// contract: any unparseable entry raises std::invalid_argument.
-double parse_double(const std::string& s, const std::string& entry,
-                    const char* what) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
-}
-
-int parse_int(const std::string& s, const std::string& entry,
-              const char* what) {
-  std::size_t pos = 0;
-  int v = 0;
-  try {
-    v = std::stoi(s, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  if (pos != s.size()) {
-    throw std::invalid_argument("FaultPlan: bad " + std::string(what) +
-                                " in '" + entry + "'");
-  }
-  return v;
+[[noreturn]] void bad(const char* what, const std::string& entry) {
+  throw std::invalid_argument("FaultPlan: bad " + std::string(what) + " in '" +
+                              entry + "'");
 }
 
 FaultSpec parse_entry(const std::string& entry) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : entry) {
-    if (c == ':') {
-      parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  parts.push_back(cur);
+  const std::vector<std::string> parts = spec::split(entry, ':');
   if (parts.size() < 2 || parts.size() > 4) {
     throw std::invalid_argument("FaultPlan: malformed entry '" + entry +
                                 "' (want class:rate[:magnitude[:duration]])");
   }
-  FaultSpec spec;
-  if (!fault_class_from_name(parts[0], &spec.cls)) {
+  FaultSpec out;
+  if (!fault_class_from_name(parts[0], &out.cls)) {
     throw std::invalid_argument("FaultPlan: unknown fault class '" + parts[0] +
                                 "'");
   }
-  spec.rate = parse_double(parts[1], entry, "rate");
-  if (!(spec.rate >= 0.0) || spec.rate > 1.0) {
-    throw std::invalid_argument("FaultPlan: bad rate in '" + entry + "'");
-  }
+  const auto rate = spec::parse_double(parts[1], 0.0, 1.0);
+  if (!rate) bad("rate", entry);
+  out.rate = *rate;
   if (parts.size() >= 3) {
-    spec.magnitude = parse_double(parts[2], entry, "magnitude");
-    if (!std::isfinite(spec.magnitude) || spec.magnitude < 0.0) {
-      throw std::invalid_argument("FaultPlan: bad magnitude in '" + entry +
-                                  "'");
-    }
+    const auto magnitude = spec::parse_double(parts[2], 0.0);
+    if (!magnitude) bad("magnitude", entry);
+    out.magnitude = *magnitude;
   }
   if (parts.size() == 4) {
-    spec.duration_epochs = parse_int(parts[3], entry, "duration");
-    if (spec.duration_epochs < 1 || spec.duration_epochs > 1024) {
-      throw std::invalid_argument("FaultPlan: bad duration in '" + entry +
-                                  "'");
-    }
+    const auto duration = spec::parse_int(parts[3], 1, 1024);
+    if (!duration) bad("duration", entry);
+    out.duration_epochs = static_cast<int>(*duration);
   }
-  return spec;
+  return out;
 }
 
 }  // namespace
@@ -136,11 +87,8 @@ void FaultPlan::set(FaultSpec spec) {
 FaultPlan FaultPlan::parse(const std::string& text, std::uint64_t seed) {
   FaultPlan plan;
   plan.seed = seed;
-  std::string entry;
-  std::istringstream is(text);
-  while (std::getline(is, entry, ',')) {
-    if (entry.empty()) continue;
-    plan.set(parse_entry(entry));
+  for (const std::string& entry : spec::split(text, ',')) {
+    if (!entry.empty()) plan.set(parse_entry(entry));
   }
   return plan;
 }
@@ -193,15 +141,18 @@ FaultPlan FaultPlan::uniform(double rate, std::uint64_t seed) {
 }
 
 std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  bool first = true;
+  std::string out;
   for (const auto& s : specs_) {
-    if (!first) os << ',';
-    first = false;
-    os << fault_class_name(s.cls) << ':' << s.rate << ':' << s.magnitude << ':'
-       << s.duration_epochs;
+    if (!out.empty()) out += ',';
+    out += fault_class_name(s.cls);
+    out += ':';
+    spec::append_double(out, s.rate);
+    out += ':';
+    spec::append_double(out, s.magnitude);
+    out += ':';
+    spec::append_int(out, s.duration_epochs);
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace sb::fault

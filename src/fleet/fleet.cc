@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <iomanip>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "common/spec.h"
 #include "core/smart_balance.h"
 #include "core/trainer.h"
 #include "sim/experiment.h"
@@ -602,24 +602,27 @@ FleetResult FleetSimulation::run() {
 namespace {
 
 void tail_json(std::ostream& os, const char* key, const LatencyTail& t) {
-  os << "\"" << key << "\":{\"count\":" << t.count << ",\"mean_ns\":"
-     << t.mean_ns << ",\"p50_ns\":" << t.p50_ns << ",\"p95_ns\":" << t.p95_ns
+  os << "\"" << key << "\":{\"count\":" << t.count << ",\"mean_ns\":";
+  spec::json_number(os, t.mean_ns);
+  os << ",\"p50_ns\":" << t.p50_ns << ",\"p95_ns\":" << t.p95_ns
      << ",\"p99_ns\":" << t.p99_ns << ",\"max_ns\":" << t.max_ns << "}";
 }
 
 }  // namespace
 
 void write_fleet_json(std::ostream& os, const FleetResult& r) {
-  os << std::setprecision(12);
   os << "{\"dispatch_policy\":\"" << sim::json_escape(r.dispatch_policy)
      << "\",\"node_policy\":\"" << sim::json_escape(r.node_policy)
-     << "\",\"nodes\":" << r.nodes << ",\"simulated_ms\":"
-     << to_millis(r.simulated) << ",\"jobs\":{\"arrived\":" << r.jobs_arrived
+     << "\",\"nodes\":" << r.nodes << ",\"simulated_ms\":";
+  spec::json_number(os, to_millis(r.simulated));
+  os << ",\"jobs\":{\"arrived\":" << r.jobs_arrived
      << ",\"dispatched\":" << r.jobs_dispatched
      << ",\"completed\":" << r.jobs_completed
      << ",\"deferred\":" << r.jobs_deferred << "}";
-  os << ",\"instructions\":" << r.instructions << ",\"energy_j\":"
-     << r.energy_j << ",\"je_inst_per_joule\":" << r.je_inst_per_joule;
+  os << ",\"instructions\":" << r.instructions << ",\"energy_j\":";
+  spec::json_number(os, r.energy_j);
+  os << ",\"je_inst_per_joule\":";
+  spec::json_number(os, r.je_inst_per_joule);
   os << ",";
   tail_json(os, "queue", r.queue);
   os << ",";
@@ -633,9 +636,11 @@ void write_fleet_json(std::ostream& os, const FleetResult& r) {
     if (i) os << ",";
     os << "{\"label\":\"" << sim::json_escape(n.label)
        << "\",\"policy\":\"" << sim::json_escape(n.policy)
-       << "\",\"instructions\":" << n.instructions << ",\"energy_j\":"
-       << n.energy_j << ",\"ips_per_watt\":" << n.ips_per_watt
-       << ",\"migrations\":" << n.migrations << "}";
+       << "\",\"instructions\":" << n.instructions << ",\"energy_j\":";
+    spec::json_number(os, n.energy_j);
+    os << ",\"ips_per_watt\":";
+    spec::json_number(os, n.ips_per_watt);
+    os << ",\"migrations\":" << n.migrations << "}";
   }
   os << "]}";
 }

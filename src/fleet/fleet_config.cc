@@ -1,55 +1,30 @@
 #include "fleet/fleet_config.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
+
+#include "common/spec.h"
 
 namespace sb::fleet {
 
 namespace {
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 int parse_nodes(const std::string& tok) {
-  if (tok.empty() || tok.size() > 5) {
-    throw std::invalid_argument("--fleet: bad node count '" + tok + "'");
+  const auto n = spec::parse_int(tok, 1, 1024);
+  if (!n) {
+    throw std::invalid_argument("fleet config: bad node count '" + tok +
+                                "' (want an integer in [1, 1024])");
   }
-  for (char c : tok) {
-    if (c < '0' || c > '9') {
-      throw std::invalid_argument("--fleet: bad node count '" + tok + "'");
-    }
-  }
-  const long n = std::strtol(tok.c_str(), nullptr, 10);
-  if (n < 1 || n > 1024) {
-    throw std::invalid_argument("--fleet: node count must be in [1, 1024]");
-  }
-  return static_cast<int>(n);
+  return static_cast<int>(*n);
 }
 
 double parse_rate(const std::string& tok) {
-  if (tok.empty()) {
-    throw std::invalid_argument("--fleet: empty rate");
+  const auto v = spec::parse_double(tok, spec::kAboveZero, 1e7);
+  if (!v) {
+    throw std::invalid_argument("fleet config: bad rate '" + tok +
+                                "' (want a number in (0, 1e7])");
   }
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end != tok.c_str() + tok.size() || !std::isfinite(v)) {
-    throw std::invalid_argument("--fleet: bad rate '" + tok + "'");
-  }
-  if (!(v > 0) || !(v <= 1e7)) {
-    throw std::invalid_argument("--fleet: rate must be in (0, 1e7]");
-  }
-  return v;
+  return *v;
 }
 
 }  // namespace
@@ -73,14 +48,14 @@ DispatchPolicy dispatch_policy_from(const std::string& name) {
   if (name == "energy" || name == "energy-aware" || name == "energyaware") {
     return DispatchPolicy::kEnergyAware;
   }
-  throw std::invalid_argument("--fleet: unknown dispatch policy '" + name +
-                              "' (want rr | least | energy)");
+  throw std::invalid_argument("fleet config: unknown dispatch policy '" +
+                              name + "' (want rr | least | energy)");
 }
 
 FleetConfig FleetConfig::parse(const std::string& text) {
-  const auto parts = split(text, ':');
+  const auto parts = spec::split(text, ':');
   if (parts.size() > 3) {
-    throw std::invalid_argument("--fleet: too many fields in '" + text +
+    throw std::invalid_argument("fleet config: too many fields in '" + text +
                                 "' (grammar: N[:policy[:rate]])");
   }
   FleetConfig cfg;
@@ -92,11 +67,9 @@ FleetConfig FleetConfig::parse(const std::string& text) {
 }
 
 std::string FleetConfig::canonical() const {
-  std::string rate = std::to_string(rate_hz);
-  // Trim trailing zeros of the default %f formatting (keep "300", "450.5").
-  while (!rate.empty() && rate.back() == '0') rate.pop_back();
-  if (!rate.empty() && rate.back() == '.') rate.pop_back();
-  return std::to_string(nodes) + ":" + to_string(policy) + ":" + rate;
+  std::string out = std::to_string(nodes) + ":" + to_string(policy) + ":";
+  spec::append_double(out, rate_hz);
+  return out;
 }
 
 void FleetConfig::validate() const {

@@ -1,13 +1,12 @@
 #include "obs/audit_writer.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "common/spec.h"
 #include "obs/audit.h"
 
 namespace sb::obs {
@@ -28,32 +27,6 @@ constexpr char kStateCols[] =
     "src_type,dst_type,joins,ewma_gips,ewma_power,active,"
     "ewma_gips_signed,ewma_power_signed";
 
-/// Shortest round-trip double: reparsing the text yields the same bits, and
-/// the rendering is locale-independent (unlike iostream/printf paths).
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    // The recorder never produces non-finite values; render defensively so
-    // a future bug corrupts one cell, not the whole export.
-    out += std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf");
-    return;
-  }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
 void write_run(std::ostream& os, const RunObs& run) {
   const AuditSnapshot& a = run.audit;
   std::string line;
@@ -61,129 +34,129 @@ void write_run(std::ostream& os, const RunObs& run) {
      << (run.label.empty() ? "run" : run.label) << '\n';
   for (const EpochAuditRecord& r : a.epochs) {
     line = "epoch,";
-    append_u64(line, r.epoch);
+    spec::append_u64(line, r.epoch);
     line += ',';
-    append_double(line, r.initial_j);
+    spec::append_double(line, r.initial_j);
     line += ',';
-    append_double(line, r.final_j);
+    spec::append_double(line, r.final_j);
     line += ',';
-    append_i64(line, r.applied);
+    spec::append_int(line, r.applied);
     line += ',';
-    append_double(line, r.pred_dj);
+    spec::append_double(line, r.pred_dj);
     line += ',';
-    append_double(line, r.realized_j);
+    spec::append_double(line, r.realized_j);
     line += ',';
-    append_double(line, r.realized_dj);
+    spec::append_double(line, r.realized_dj);
     line += ',';
-    append_i64(line, r.realized_valid);
+    spec::append_int(line, r.realized_valid);
     line += ',';
-    append_double(line, r.regret);
+    spec::append_double(line, r.regret);
     line += ',';
-    append_i64(line, r.migrations);
+    spec::append_int(line, r.migrations);
     line += ',';
-    append_i64(line, r.joined);
+    spec::append_int(line, r.joined);
     line += ',';
-    append_i64(line, r.unjoined);
+    spec::append_int(line, r.unjoined);
     line += ',';
-    append_double(line, r.healthy_fraction);
+    spec::append_double(line, r.healthy_fraction);
     line += ',';
-    append_i64(line, r.degraded);
+    spec::append_int(line, r.degraded);
     line += ',';
-    append_i64(line, r.sa_iterations);
+    spec::append_int(line, r.sa_iterations);
     line += ',';
-    append_i64(line, r.sa_accepted_worse);
+    spec::append_int(line, r.sa_accepted_worse);
     line += ',';
-    append_i64(line, r.sa_improved);
+    spec::append_int(line, r.sa_improved);
     line += ',';
-    append_i64(line, r.faults_injected);
+    spec::append_int(line, r.faults_injected);
     line += '\n';
     os << line;
   }
   for (const ThreadAuditRecord& r : a.threads) {
     line = "thread,";
-    append_u64(line, r.epoch);
+    spec::append_u64(line, r.epoch);
     line += ',';
-    append_i64(line, r.tid);
+    spec::append_int(line, r.tid);
     line += ',';
-    append_i64(line, r.core);
+    spec::append_int(line, r.core);
     line += ',';
-    append_i64(line, r.src_type);
+    spec::append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    spec::append_int(line, r.dst_type);
     line += ',';
-    append_double(line, r.pred_gips);
+    spec::append_double(line, r.pred_gips);
     line += ',';
-    append_double(line, r.obs_gips);
+    spec::append_double(line, r.obs_gips);
     line += ',';
-    append_double(line, r.pred_w);
+    spec::append_double(line, r.pred_w);
     line += ',';
-    append_double(line, r.obs_w);
+    spec::append_double(line, r.obs_w);
     line += ',';
-    append_double(line, r.gips_err);
+    spec::append_double(line, r.gips_err);
     line += ',';
-    append_double(line, r.power_err);
+    spec::append_double(line, r.power_err);
     line += ',';
-    append_double(line, r.raw_gips_err);
+    spec::append_double(line, r.raw_gips_err);
     line += ',';
-    append_double(line, r.raw_power_err);
+    spec::append_double(line, r.raw_power_err);
     line += '\n';
     os << line;
   }
   for (const MigrationAuditRecord& r : a.migrations) {
     line = "migration,";
-    append_u64(line, r.epoch);
+    spec::append_u64(line, r.epoch);
     line += ',';
-    append_i64(line, r.tid);
+    spec::append_int(line, r.tid);
     line += ',';
-    append_i64(line, r.src);
+    spec::append_int(line, r.src);
     line += ',';
-    append_i64(line, r.dst);
+    spec::append_int(line, r.dst);
     line += ',';
-    append_i64(line, r.src_type);
+    spec::append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    spec::append_int(line, r.dst_type);
     line += ',';
-    append_double(line, r.pred_gain);
+    spec::append_double(line, r.pred_gain);
     line += ',';
-    append_double(line, r.realized_gain);
+    spec::append_double(line, r.realized_gain);
     line += ',';
-    append_i64(line, r.realized_valid);
+    spec::append_int(line, r.realized_valid);
     line += '\n';
     os << line;
   }
   for (const DriftEvent& r : a.drift_events) {
     line = "drift,";
-    append_u64(line, r.epoch);
+    spec::append_u64(line, r.epoch);
     line += ',';
-    append_i64(line, r.src_type);
+    spec::append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    spec::append_int(line, r.dst_type);
     line += ',';
-    append_i64(line, r.metric);
+    spec::append_int(line, r.metric);
     line += ',';
-    append_double(line, r.ewma);
+    spec::append_double(line, r.ewma);
     line += ',';
-    append_u64(line, r.joins);
+    spec::append_u64(line, r.joins);
     line += '\n';
     os << line;
   }
   for (const DriftState& r : a.drift_states) {
     line = "state,";
-    append_i64(line, r.src_type);
+    spec::append_int(line, r.src_type);
     line += ',';
-    append_i64(line, r.dst_type);
+    spec::append_int(line, r.dst_type);
     line += ',';
-    append_u64(line, r.joins);
+    spec::append_u64(line, r.joins);
     line += ',';
-    append_double(line, r.ewma_gips);
+    spec::append_double(line, r.ewma_gips);
     line += ',';
-    append_double(line, r.ewma_power);
+    spec::append_double(line, r.ewma_power);
     line += ',';
-    append_i64(line, r.active);
+    spec::append_int(line, r.active);
     line += ',';
-    append_double(line, r.ewma_gips_signed);
+    spec::append_double(line, r.ewma_gips_signed);
     line += ',';
-    append_double(line, r.ewma_power_signed);
+    spec::append_double(line, r.ewma_power_signed);
     line += '\n';
     os << line;
   }

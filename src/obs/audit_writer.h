@@ -21,8 +21,8 @@
 //   #counters <index> joined=.. unjoined=.. predictions=.. dropped=..
 //   #summary runs=<n>
 //
-// Doubles are rendered with std::to_chars shortest round-trip form:
-// locale-independent and reproducible across runs of the same binary.
+// Doubles are rendered by the shared shortest round-trip formatter
+// (common/spec.h): locale-independent, and each reads back to the same bits.
 #pragma once
 
 #include <cstdint>

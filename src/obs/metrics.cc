@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/spec.h"
+
 namespace sb::obs {
 
 int Histogram::bucket_index(std::uint64_t v) {
@@ -142,14 +144,6 @@ void json_string(std::ostream& os, std::string_view s) {
   os << '"';
 }
 
-void json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
-
 }  // namespace
 
 void MetricsRegistry::write_json(std::ostream& os) const {
@@ -168,7 +162,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     first = false;
     json_string(os, name);
     os << ':';
-    json_number(os, g.value);
+    spec::json_number(os, g.value);
   }
   os << "},\"histograms\":{";
   first = true;
@@ -178,7 +172,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     json_string(os, name);
     os << ":{\"count\":" << h.count() << ",\"sum\":" << h.sum()
        << ",\"min\":" << h.min() << ",\"max\":" << h.max() << ",\"mean\":";
-    json_number(os, h.mean());
+    spec::json_number(os, h.mean());
     os << ",\"p50\":" << h.quantile(0.50) << ",\"p90\":" << h.quantile(0.90)
        << ",\"p99\":" << h.quantile(0.99) << '}';
   }

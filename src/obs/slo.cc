@@ -1,12 +1,12 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "common/spec.h"
 #include "obs/trace.h"
 
 namespace sb::obs {
@@ -14,23 +14,6 @@ namespace sb::obs {
 namespace {
 
 constexpr double kBurnEpsilon = 1e-12;
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-double parse_double(std::string_view token, std::string_view what) {
-  double v = 0;
-  const auto res = std::from_chars(token.data(), token.data() + token.size(), v);
-  if (res.ec != std::errc() || res.ptr != token.data() + token.size() ||
-      !std::isfinite(v)) {
-    throw std::invalid_argument("slo config: bad " + std::string(what) + " '" +
-                                std::string(token) + "'");
-  }
-  return v;
-}
 
 bool valid_signal(std::string_view s) {
   if (s.empty()) return false;
@@ -58,35 +41,29 @@ SloObjective parse_objective(std::string_view token) {
                                 "'");
   }
   o.upper = token[op] == '<';
-  const std::string_view rest = token.substr(op + 1);
-  std::vector<std::string_view> fields;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= rest.size(); ++i) {
-    if (i == rest.size() || rest[i] == ':') {
-      fields.push_back(rest.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  o.threshold = parse_double(fields.front(), "threshold");
+  const std::vector<std::string> fields =
+      spec::split(token.substr(op + 1), ':');
+  const auto bad = [](std::string_view what, std::string_view tok,
+                      std::string_view range) {
+    return std::invalid_argument("slo config: bad " + std::string(what) +
+                                 " '" + std::string(tok) + "' (want " +
+                                 std::string(range) + ")");
+  };
+  const auto threshold = spec::parse_double(fields.front());
+  if (!threshold) throw bad("threshold", fields.front(), "a finite number");
+  o.threshold = *threshold;
   for (std::size_t f = 1; f < fields.size(); ++f) {
     const std::string_view opt = fields[f];
     if (opt.rfind("burn=", 0) == 0) {
-      o.burn = parse_double(opt.substr(5), "burn fraction");
-      if (o.burn < 0 || o.burn >= 1) {
-        throw std::invalid_argument("slo config: burn fraction " +
-                                    std::string(opt.substr(5)) +
-                                    " out of [0, 1)");
-      }
+      // [0, 1): the largest double below 1 is the inclusive upper bound.
+      const auto burn =
+          spec::parse_double(opt.substr(5), 0.0, std::nextafter(1.0, 0.0));
+      if (!burn) throw bad("burn fraction", opt.substr(5), "[0, 1)");
+      o.burn = *burn;
     } else if (opt.rfind("window=", 0) == 0) {
-      const std::string_view ms = opt.substr(7);
-      std::int64_t v = 0;
-      const auto res = std::from_chars(ms.data(), ms.data() + ms.size(), v);
-      if (res.ec != std::errc() || res.ptr != ms.data() + ms.size() ||
-          v < 1 || v > 600'000) {
-        throw std::invalid_argument("slo config: window ms '" +
-                                    std::string(ms) + "' out of [1, 600000]");
-      }
-      o.window = milliseconds(v);
+      const auto ms = spec::parse_int(opt.substr(7), 1, 600'000);
+      if (!ms) throw bad("window ms", opt.substr(7), "[1, 600000]");
+      o.window = milliseconds(*ms);
     } else {
       throw std::invalid_argument("slo config: unknown option '" +
                                   std::string(opt) + "'");
@@ -100,13 +77,13 @@ SloObjective parse_objective(std::string_view token) {
 std::string SloObjective::canonical() const {
   std::string out = signal;
   out += upper ? '<' : '>';
-  append_double(out, threshold);
+  spec::append_double(out, threshold);
   out += ":burn=";
-  append_double(out, burn);
+  spec::append_double(out, burn);
   // Integer print: append_double would render e.g. 100000 as "1e+05",
   // which the integer window parser rightly rejects on round-trip.
   out += ":window=";
-  out += std::to_string(window / milliseconds(1));
+  spec::append_int(out, window / milliseconds(1));
   return out;
 }
 
@@ -115,13 +92,8 @@ SloConfig SloConfig::parse(const std::string& text) {
     throw std::invalid_argument("slo config: empty spec");
   }
   SloConfig cfg;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == ',') {
-      cfg.objectives.push_back(
-          parse_objective(std::string_view(text).substr(start, i - start)));
-      start = i + 1;
-    }
+  for (const std::string& objective : spec::split(text, ',')) {
+    cfg.objectives.push_back(parse_objective(objective));
   }
   return cfg;
 }

@@ -1,12 +1,12 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "common/spec.h"
 #include "obs/trace.h"
 
 namespace sb::obs {
@@ -15,38 +15,16 @@ namespace {
 
 constexpr char kSampleCols[] = "t_ns,signal,value";
 
-/// Shortest round-trip double (see obs/audit_writer.cc for rationale).
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf");
-    return;
-  }
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-std::uint64_t parse_u64(std::string_view token, std::string_view what,
-                        std::uint64_t lo, std::uint64_t hi) {
-  std::uint64_t v = 0;
-  const auto res = std::from_chars(token.data(), token.data() + token.size(), v);
-  if (res.ec != std::errc() || res.ptr != token.data() + token.size()) {
+std::uint64_t parse_field(std::string_view token, std::string_view what,
+                          std::uint64_t lo, std::uint64_t hi) {
+  const auto v = spec::parse_u64(token, lo, hi);
+  if (!v) {
     throw std::invalid_argument("timeseries config: bad " + std::string(what) +
-                                " '" + std::string(token) + "'");
-  }
-  if (v < lo || v > hi) {
-    throw std::invalid_argument("timeseries config: " + std::string(what) +
-                                " " + std::string(token) + " out of [" +
+                                " '" + std::string(token) + "' (want [" +
                                 std::to_string(lo) + ", " + std::to_string(hi) +
-                                "]");
+                                "])");
   }
-  return v;
+  return *v;
 }
 
 /// Ordered, deduped run list for the exporters: stamped run index is the
@@ -73,32 +51,29 @@ TimeseriesConfig TimeseriesConfig::parse(const std::string& text) {
   if (text.empty()) {
     throw std::invalid_argument("timeseries config: empty spec");
   }
+  const std::vector<std::string> fields = spec::split(text, ':');
+  if (fields.size() > 2) {
+    throw std::invalid_argument(
+        "timeseries config: want <window_ms>[:<capacity>], got '" + text +
+        "'");
+  }
   TimeseriesConfig cfg;
   cfg.enabled = true;
-  const std::size_t colon = text.find(':');
-  const std::string_view window_tok =
-      std::string_view(text).substr(0, colon);
   // Integer milliseconds round-trip exactly (no float ms -> ns drift).
   cfg.window = milliseconds(static_cast<std::int64_t>(
-      parse_u64(window_tok, "window ms", 1, 60'000)));
-  if (colon != std::string::npos) {
-    const std::string_view cap_tok = std::string_view(text).substr(colon + 1);
+      parse_field(fields[0], "window ms", 1, 60'000)));
+  if (fields.size() == 2) {
     cfg.capacity = static_cast<std::size_t>(
-        parse_u64(cap_tok, "capacity", 64, std::size_t{1} << 24));
-    if (text.find(':', colon + 1) != std::string::npos) {
-      throw std::invalid_argument(
-          "timeseries config: want <window_ms>[:<capacity>], got '" + text +
-          "'");
-    }
+        parse_field(fields[1], "capacity", 64, std::size_t{1} << 24));
   }
   return cfg;
 }
 
 std::string TimeseriesConfig::canonical() const {
   std::string out;
-  append_u64(out, static_cast<std::uint64_t>(window / milliseconds(1)));
+  spec::append_u64(out, static_cast<std::uint64_t>(window / milliseconds(1)));
   out += ':';
-  append_u64(out, capacity);
+  spec::append_u64(out, capacity);
   return out;
 }
 
@@ -186,11 +161,11 @@ void write_timeseries(std::ostream& os,
     os << "#meta " << r->run << " window_ns=" << ts.window << '\n';
     for (const TimeseriesSample& s : ts.samples) {
       line = "sample,";
-      append_u64(line, s.t_ns);
+      spec::append_u64(line, s.t_ns);
       line += ',';
       line += ts.name_of(s.signal);
       line += ',';
-      append_double(line, s.value);
+      spec::append_double(line, s.value);
       line += '\n';
       os << line;
     }
@@ -206,7 +181,6 @@ void write_timeseries_json(std::ostream& os,
   os << "{\"schema\":\"sb-tsdb\",\"version\":" << kTimeseriesSchemaVersion
      << ",\"runs\":[";
   bool first_run = true;
-  std::string num;
   for (const RunObs* r : ordered) {
     const auto& ts = r->timeseries;
     if (!first_run) os << ',';
@@ -220,11 +194,8 @@ void write_timeseries_json(std::ostream& os,
       if (!first) os << ',';
       first = false;
       os << "[" << s.t_ns << ",\"" << ts.name_of(s.signal) << "\",";
-      num.clear();
-      append_double(num, s.value);
-      // JSON has no inf/nan literals; the recorder never produces them,
-      // render defensively as null.
-      os << (std::isfinite(s.value) ? num : "null") << ']';
+      spec::json_number(os, s.value);
+      os << ']';
     }
     os << "]}";
   }
@@ -276,7 +247,7 @@ std::string prom_quantile_labels(int run, const char* q) {
 
 void prom_value(std::ostream& os, double v) {
   std::string num;
-  append_double(num, v);
+  spec::append_double(num, v);
   os << num;
 }
 

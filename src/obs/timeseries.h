@@ -144,7 +144,8 @@ const char* timeseries_sample_columns();  // "t_ns,signal,value"
 ///   #counters <index> samples=<n> frames=<n> dropped=<n>
 ///   #summary runs=<n>
 /// Runs are ordered by stamped run index; runs without the recorder
-/// enabled are skipped. Doubles use std::to_chars shortest round-trip.
+/// enabled are skipped. Doubles use the shared shortest round-trip
+/// formatter (common/spec.h).
 void write_timeseries(std::ostream& os,
                       const std::vector<const RunObs*>& runs);
 /// The same data as one JSON document (schema/version/runs[]).

@@ -1,11 +1,12 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <ostream>
 #include <stdexcept>
+
+#include "common/spec.h"
 
 namespace sb::obs {
 
@@ -103,14 +104,6 @@ void json_string(std::ostream& os, std::string_view s) {
   os << '"';
 }
 
-void json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
-
 /// Chrome trace timestamps are microseconds; keep nanosecond precision.
 void json_us(std::ostream& os, std::uint64_t ns) {
   os << ns / 1000 << '.' << static_cast<char>('0' + (ns % 1000) / 100)
@@ -134,7 +127,7 @@ void write_event(std::ostream& os, const RunObs& run, const TraceEvent& ev) {
     os << ',';
     json_string(os, run.trace.name_of(ev.args[a].key));
     os << ':';
-    json_number(os, ev.args[a].value);
+    spec::json_number(os, ev.args[a].value);
   }
   os << "}}";
 }

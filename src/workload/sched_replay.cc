@@ -5,9 +5,9 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
+#include "common/spec.h"
 #include "workload/benchmarks.h"
 #include "workload/trace_loader.h"
 
@@ -22,21 +22,6 @@ constexpr double kMaxTimestampUs = 1e9;
 [[noreturn]] void fail(std::size_t line, const std::string& why) {
   throw std::runtime_error("sched replay line " + std::to_string(line) + ": " +
                            why);
-}
-
-/// Splits on ',' keeping empty fields (including a trailing one).
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t comma = line.find(',', start);
-    if (comma == std::string::npos) {
-      out.push_back(line.substr(start));
-      return out;
-    }
-    out.push_back(line.substr(start, comma - start));
-    start = comma + 1;
-  }
 }
 
 ReplayEvent::Kind kind_of(const std::string& s, std::size_t lineno) {
@@ -58,20 +43,11 @@ const char* kind_name(ReplayEvent::Kind k) {
 }
 
 TimeNs timestamp_of(const std::string& cell, std::size_t lineno) {
-  double t_us = 0;
-  try {
-    std::size_t used = 0;
-    t_us = std::stod(cell, &used);
-    if (used != cell.size()) fail(lineno, "trailing junk in '" + cell + "'");
-  } catch (const std::invalid_argument&) {
-    fail(lineno, "non-numeric timestamp '" + cell + "'");
-  } catch (const std::out_of_range&) {
-    fail(lineno, "out-of-range timestamp '" + cell + "'");
+  const auto t_us = spec::parse_double(cell, 0.0, kMaxTimestampUs);
+  if (!t_us) {
+    fail(lineno, "timestamp not a number in [0, 1e9] us: '" + cell + "'");
   }
-  if (!std::isfinite(t_us) || t_us < 0 || t_us > kMaxTimestampUs) {
-    fail(lineno, "timestamp out of [0, 1e9] us: '" + cell + "'");
-  }
-  return static_cast<TimeNs>(std::llround(t_us * 1000.0));
+  return static_cast<TimeNs>(std::llround(*t_us * 1000.0));
 }
 
 }  // namespace
@@ -113,7 +89,7 @@ ReplayTrace parse_replay_trace(std::istream& is, const std::string& context) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    const std::vector<std::string> cells = split_csv(line);
+    const std::vector<std::string> cells = spec::split(line, ',');
     if (cells.size() != 4) {
       fail(lineno,
            "expected 4 columns, got " + std::to_string(cells.size()));

@@ -1,11 +1,10 @@
 #include "workload/trace_loader.h"
 
-#include <cmath>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
+
+#include "common/spec.h"
 
 namespace sb::workload {
 namespace {
@@ -38,31 +37,22 @@ ThreadBehavior load_thread_trace(std::istream& is, const std::string& name) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::vector<double> v;
-    std::string cell;
-    while (std::getline(ls, cell, ',')) {
-      try {
-        std::size_t used = 0;
-        const double d = std::stod(cell, &used);
-        if (used != cell.size()) fail(lineno, "trailing junk in '" + cell + "'");
-        v.push_back(d);
-      } catch (const std::invalid_argument&) {
-        fail(lineno, "non-numeric cell '" + cell + "'");
-      } catch (const std::out_of_range&) {
-        fail(lineno, "out-of-range cell '" + cell + "'");
-      }
-    }
-    if (v.size() != kColumns) {
+    const std::vector<std::string> cells = spec::split(line, ',');
+    if (cells.size() != kColumns) {
       fail(lineno, "expected " + std::to_string(kColumns) + " columns, got " +
-                       std::to_string(v.size()));
+                       std::to_string(cells.size()));
+    }
+    std::vector<double> v;
+    for (const std::string& cell : cells) {
+      const auto d = spec::parse_double(cell);
+      if (!d) fail(lineno, "not a finite number: '" + cell + "'");
+      v.push_back(*d);
     }
     Phase ph;
-    // Range-check before the float→integer cast: a negative, huge or
-    // non-finite instruction count would be undefined behaviour in the
-    // static_cast, not just a bad value (same over-range leak class
-    // FaultPlan::parse fixed).
-    if (!std::isfinite(v[0]) || v[0] < 0 || v[0] >= 1e18) {
+    // Range-check before the float→integer cast: a negative or huge
+    // instruction count would be undefined behaviour in the static_cast,
+    // not just a bad value.
+    if (v[0] < 0 || v[0] >= 1e18) {
       fail(lineno, "instruction count out of [0, 1e18)");
     }
     ph.instructions = static_cast<std::uint64_t>(v[0]);
@@ -101,14 +91,20 @@ ThreadBehavior load_thread_trace_file(const std::string& path,
 }
 
 void save_thread_trace(std::ostream& os, const ThreadBehavior& behavior) {
-  os << trace_csv_header() << "\n" << std::setprecision(17);
+  os << trace_csv_header() << "\n";
+  std::string line;
   for (const auto& ph : behavior.phases) {
     const auto& p = ph.profile;
-    os << ph.instructions << ',' << p.ilp << ',' << p.mem_share << ','
-       << p.branch_share << ',' << p.mispredict_rate << ','
-       << p.footprint_i_kb << ',' << p.footprint_d_kb << ','
-       << p.locality_alpha << ',' << p.mr_l1i_ref << ',' << p.mr_l1d_ref << ','
-       << p.l2_miss_ratio << ',' << p.mlp << ',' << p.activity << "\n";
+    line.clear();
+    spec::append_u64(line, ph.instructions);
+    for (const double d :
+         {p.ilp, p.mem_share, p.branch_share, p.mispredict_rate,
+          p.footprint_i_kb, p.footprint_d_kb, p.locality_alpha, p.mr_l1i_ref,
+          p.mr_l1d_ref, p.l2_miss_ratio, p.mlp, p.activity}) {
+      line += ',';
+      spec::append_double(line, d);
+    }
+    os << line << '\n';
   }
 }
 

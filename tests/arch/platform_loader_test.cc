@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 namespace sb::arch {
 namespace {
@@ -113,6 +115,48 @@ TEST(PlatformLoader, ErrorsCarryLineNumbers) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
   }
+}
+
+TEST(PlatformLoader, RejectsCoercibleNumbersWithLineNumbers) {
+  // Each of these used to load as something else (x2abc as 2 cores, 2.7 as
+  // issue width 2) or to crash (std::bad_alloc, an undefined float-to-int
+  // cast); the last line of each input is the bad one.
+  for (const std::string text :
+       {"core big x2abc\n", "core big x99999999999\n", "core big x-1\n",
+        "core big x+2\n", "core big x 2\n",
+        "core big x1\n  issue_width 2.7\n", "core big x1\n  rob_size 1e30\n",
+        "core big x1\n  rob_size 99999999999\n",
+        "core big x1\n  freq_mhz 1e999\n", "core big x1\n  freq_mhz nan\n",
+        "core big x1\n  freq_mhz +900\n", "core big x1\n  freq_mhz 0x10\n",
+        "core big x1\n  freq_mhz 900MHz\n"}) {
+    std::stringstream in(text);
+    const std::string want =
+        "line " + std::to_string(std::count(text.begin(), text.end(), '\n'));
+    try {
+      load_platform(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(PlatformLoader, SaveRoundTripsEveryDigit) {
+  CoreParams p = big_core();
+  p.name = "Odd";
+  p.freq_mhz = 1234.5678901234567;
+  p.peak_power_w = 0.1 + 0.2;
+  p.rob_size = 1000000;
+  Platform original;
+  original.add_cores(p, 2);
+  std::stringstream buf;
+  save_platform(buf, original);
+  const Platform restored = load_platform(buf);
+  const CoreParams& r = restored.params_of(0);
+  EXPECT_EQ(r.freq_mhz, p.freq_mhz) << buf.str();
+  EXPECT_EQ(r.peak_power_w, p.peak_power_w) << buf.str();
+  EXPECT_EQ(r.rob_size, p.rob_size) << buf.str();
 }
 
 TEST(PlatformLoader, GeneratesBigLittle) {

@@ -3,8 +3,8 @@
 // shape as fault_plan_fuzz_test.cc). The contract under test: parse()
 // either returns a config or throws std::invalid_argument — never any
 // other exception type, never UB (the suite also runs under ASan/UBSan
-// in CI). The parse_double/parse_ll wrappers in adapt.cc exist precisely
-// so over-range numerics ("rls:1e999") can't leak std::out_of_range.
+// in CI). Numeric fields go through the shared codec (common/spec.h), so
+// over-range numerics ("rls:1e999") can't leak std::out_of_range.
 #include "core/adapt.h"
 
 #include <gtest/gtest.h>
@@ -12,64 +12,19 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <typeinfo>
 #include <vector>
+
+#include "common/spec.h"
+#include "grammar_fuzz.h"
 
 namespace sb::core {
 namespace {
 
-/// SplitMix64: deterministic mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    // Biased toward grammar-relevant bytes so mutations stay interesting.
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \tinfnanbiasrlsdriftresetlambdaclamp\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:  // flip one byte
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:  // insert
-          s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                                   below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:  // delete
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:  // truncate
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:  // duplicate a slice onto the end
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
+/// Biased toward grammar-relevant bytes so mutations stay interesting.
+constexpr std::string_view kAlphabet = testfuzz::fuzz_alphabet(
+    "0123456789.:,-+eE \tinfnanbiasrlsdriftresetlambdaclamp\0\x7f");
 
 const std::vector<std::string>& corpus() {
   static const std::vector<std::string> kCorpus = {
@@ -92,14 +47,13 @@ const std::vector<std::string>& corpus() {
 void expect_contract(const std::string& input) {
   try {
     const AdaptationConfig cfg = AdaptationConfig::parse(input);
-    // Success: the canonical form must be a fixed point of parse∘to_string
-    // (full config equality would spuriously fail when a fuzzed literal has
-    // more precision than to_string() prints).
+    // Success: to_string() prints every value exactly, so the config must
+    // survive the round trip unchanged.
     const std::string canon = cfg.to_string();
     const AdaptationConfig again = AdaptationConfig::parse(canon);
-    EXPECT_EQ(again.to_string(), canon)
-        << "unstable round-trip for input '" << input << "'";
-    EXPECT_EQ(again.enabled(), cfg.enabled());
+    EXPECT_TRUE(again == cfg)
+        << "unstable round-trip for input '" << input << "' -> '" << canon
+        << "'";
   } catch (const std::invalid_argument&) {
     // Documented rejection path.
   } catch (const std::exception& e) {
@@ -109,7 +63,7 @@ void expect_contract(const std::string& input) {
 }
 
 TEST(AdaptationConfigFuzz, TenThousandSeededMutations) {
-  Mutator m(0xada9f00dULL);
+  testfuzz::Mutator m(0xada9f00dULL, kAlphabet);
   int parsed = 0, rejected = 0;
   for (int i = 0; i < 10'000; ++i) {
     const std::string& base = corpus()[m.below(corpus().size())];
@@ -143,6 +97,36 @@ TEST(AdaptationConfigFuzz, OverRangeNumericsAreInvalidArgumentNotOutOfRange) {
 TEST(AdaptationConfigFuzz, ValidCorpusStillParses) {
   for (const std::string& input : corpus()) {
     EXPECT_NO_THROW((void)AdaptationConfig::parse(input)) << input;
+  }
+}
+
+TEST(AdaptationConfigFuzz, ToStringRoundTripsArbitraryInRangeValuesExactly) {
+  testfuzz::Mutator m(0xada97075ULL, kAlphabet);
+  for (int i = 0; i < 2'000; ++i) {
+    AdaptationConfig cfg;
+    cfg.bias = m.below(2) == 1;
+    cfg.bias_alpha = testfuzz::any_double_in(m.next(), spec::kAboveZero, 1.0);
+    cfg.gain_clamp = testfuzz::any_double_in(m.next(), 0.0, 4.0);
+    cfg.rls = m.below(2) == 1;
+    cfg.rls_lambda = testfuzz::any_double_in(m.next(), 0.5, 1.0);
+    cfg.rls_p0 = testfuzz::any_double_in(m.next(), spec::kAboveZero, 1e12);
+    cfg.rls_reset_on_drift = m.below(2) == 1;
+    cfg.drift_threshold =
+        testfuzz::any_double_in(m.next(), spec::kAboveZero, 100.0);
+    cfg.drift_min_joins = 1 + m.below(1'000'000);
+    // Knobs of a disabled tier are not printed; compare what is.
+    const AdaptationConfig defaults;
+    if (!cfg.bias) {
+      cfg.bias_alpha = defaults.bias_alpha;
+      cfg.gain_clamp = defaults.gain_clamp;
+    }
+    if (!cfg.rls) {
+      cfg.rls_lambda = defaults.rls_lambda;
+      cfg.rls_p0 = defaults.rls_p0;
+      cfg.rls_reset_on_drift = defaults.rls_reset_on_drift;
+    }
+    const std::string text = cfg.to_string();
+    EXPECT_TRUE(AdaptationConfig::parse(text) == cfg) << text;
   }
 }
 

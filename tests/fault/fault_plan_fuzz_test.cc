@@ -4,8 +4,8 @@
 // exception type, never UB (the suite also runs under ASan/UBSan in CI).
 //
 // This harness caught the std::out_of_range leak from std::stod/std::stoi
-// on over-range numerics ("wrap:1e999", duration fields past INT_MAX),
-// fixed in fault_plan.cc by the parse_double/parse_int wrappers.
+// on over-range numerics ("wrap:1e999", duration fields past INT_MAX);
+// numeric fields now go through the shared codec (common/spec.h).
 #include "fault/fault_plan.h"
 
 #include <gtest/gtest.h>
@@ -13,65 +13,19 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <typeinfo>
 #include <vector>
+
+#include "grammar_fuzz.h"
 
 namespace sb::fault {
 namespace {
 
-/// SplitMix64: deterministic mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    // Biased toward grammar-relevant bytes so mutations stay interesting.
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \tinfnanwrapsatdropdupstucknoisedelayreject"
-        "blackout\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:  // flip one byte
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:  // insert
-          s.insert(s.begin() + static_cast<std::ptrdiff_t>(
-                                   below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:  // delete
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:  // truncate
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:  // duplicate a slice onto the end
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
+/// Biased toward grammar-relevant bytes so mutations stay interesting.
+constexpr std::string_view kAlphabet = testfuzz::fuzz_alphabet(
+    "0123456789.:,-+eE \tinfnanwrapsatdropdupstucknoisedelayreject"
+    "blackout\0\x7f");
 
 const std::vector<std::string>& corpus() {
   static const std::vector<std::string> kCorpus = {
@@ -107,7 +61,7 @@ void expect_contract(const std::string& input) {
 }
 
 TEST(FaultPlanFuzz, TenThousandSeededMutations) {
-  Mutator m(0x5eedf00dULL);
+  testfuzz::Mutator m(0x5eedf00dULL, kAlphabet);
   int parsed = 0, rejected = 0;
   for (int i = 0; i < 10'000; ++i) {
     const std::string& base = corpus()[m.below(corpus().size())];
@@ -143,6 +97,33 @@ TEST(FaultPlanFuzz, OverRangeNumericsAreInvalidArgumentNotOutOfRange) {
 TEST(FaultPlanFuzz, ValidCorpusStillParses) {
   for (const std::string& input : corpus()) {
     EXPECT_NO_THROW((void)FaultPlan::parse(input, 1)) << input;
+  }
+}
+
+TEST(FaultPlanFuzz, ToStringRoundTripsArbitraryInRangeValuesExactly) {
+  testfuzz::Mutator m(0xfa517075ULL, kAlphabet);
+  for (int i = 0; i < 2'000; ++i) {
+    FaultPlan plan;
+    const int n = 1 + static_cast<int>(m.below(kNumFaultClasses));
+    for (int k = 0; k < n; ++k) {
+      FaultSpec s;
+      s.cls = static_cast<FaultClass>(m.below(kNumFaultClasses));
+      s.rate = testfuzz::any_double_in(m.next(), 0.0, 1.0);
+      s.magnitude = testfuzz::any_double_in(m.next(), 0.0, 1e300);
+      s.duration_epochs = 1 + static_cast<int>(m.below(1024));
+      plan.set(s);
+    }
+    const std::string text = plan.to_string();
+    const FaultPlan back = FaultPlan::parse(text, 0);
+    ASSERT_EQ(back.specs().size(), plan.specs().size()) << text;
+    for (std::size_t k = 0; k < plan.specs().size(); ++k) {
+      EXPECT_EQ(back.specs()[k].cls, plan.specs()[k].cls) << text;
+      EXPECT_EQ(back.specs()[k].rate, plan.specs()[k].rate) << text;
+      EXPECT_EQ(back.specs()[k].magnitude, plan.specs()[k].magnitude) << text;
+      EXPECT_EQ(back.specs()[k].duration_epochs,
+                plan.specs()[k].duration_epochs)
+          << text;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/spec.h"
+#include "grammar_fuzz.h"
 
 namespace sb::fleet {
 namespace {
@@ -67,14 +69,16 @@ TEST(FleetConfig, CanonicalRoundTripFuzz) {
     FleetConfig cfg;
     cfg.nodes = 1 + static_cast<int>(rng.next_u64() % 1024);
     cfg.policy = policies[rng.next_u64() % 3];
-    // Grammar rates survive a to_string round trip at <= 6 fractional
-    // digits, which is all canonical() emits.
-    cfg.rate_hz = (1 + rng.next_u64() % 1'000'000) / 100.0;
+    // Any in-range rate, down to the smallest positive double.
+    cfg.rate_hz = i == 0 ? 1e-7
+                         : testfuzz::any_double_in(rng.next_u64(),
+                                                   spec::kAboveZero, 1e7);
     const FleetConfig back = FleetConfig::parse(cfg.canonical());
     EXPECT_EQ(back.nodes, cfg.nodes);
     EXPECT_EQ(back.policy, cfg.policy);
-    EXPECT_NEAR(back.rate_hz, cfg.rate_hz, 1e-6);
+    EXPECT_EQ(back.rate_hz, cfg.rate_hz) << cfg.canonical();
   }
+  EXPECT_EQ(FleetConfig::parse("2:rr:1e-7").canonical(), "2:rr:1e-07");
 }
 
 TEST(FleetConfig, ValidateRejectsBadApiFields) {

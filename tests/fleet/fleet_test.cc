@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "arch/platform.h"
+#include "mini_json.h"
 
 namespace sb::fleet {
 namespace {
@@ -36,6 +37,25 @@ std::string json_of(const FleetResult& r) {
   std::ostringstream os;
   write_fleet_json(os, r);
   return os.str();
+}
+
+TEST(FleetJson, NumbersReadBackExactly) {
+  FleetResult r;
+  r.simulated = 123'456'789;
+  r.energy_j = 1.0 / 3.0;
+  r.je_inst_per_joule = 123456789.123456789;
+  r.queue.mean_ns = 0.1 + 0.2;
+  r.node_results.emplace_back();
+  r.node_results[0].energy_j = 2.0 / 3.0;
+  r.node_results[0].ips_per_watt = 1e-7;
+  const auto doc = testjson::parse(json_of(r));
+  EXPECT_EQ(doc.at("simulated_ms").num(), to_millis(r.simulated));
+  EXPECT_EQ(doc.at("energy_j").num(), r.energy_j);
+  EXPECT_EQ(doc.at("je_inst_per_joule").num(), r.je_inst_per_joule);
+  EXPECT_EQ(doc.at("queue").at("mean_ns").num(), r.queue.mean_ns);
+  const auto& node = doc.at("node_results").at(0);
+  EXPECT_EQ(node.at("energy_j").num(), r.node_results[0].energy_j);
+  EXPECT_EQ(node.at("ips_per_watt").num(), r.node_results[0].ips_per_watt);
 }
 
 TEST(NearestRank, MatchesHandComputedRanks) {

@@ -257,6 +257,19 @@ TEST(MetricsRegistry, HistogramJsonExportsExactMinMax) {
   }
 }
 
+TEST(MetricsRegistry, JsonNumbersReadBackExactly) {
+  MetricsRegistry m;
+  m.gauge("third").set(1.0 / 3.0);
+  m.gauge("tiny").set(1e-7);
+  m.gauge("nan").set(std::nan(""));
+  for (std::uint64_t v : {1u, 2u, 4u}) m.histogram("h").record(v);
+  const auto doc = testjson::parse(m.to_json());
+  EXPECT_EQ(doc.at("gauges").at("third").num(), 1.0 / 3.0);
+  EXPECT_EQ(doc.at("gauges").at("tiny").num(), 1e-7);
+  EXPECT_TRUE(doc.at("gauges").at("nan").is_null());
+  EXPECT_EQ(doc.at("histograms").at("h").at("mean").num(), 7.0 / 3.0);
+}
+
 // --------------------------------------------------------------------------
 // Property: run-stamped merge is permutation-invariant
 // --------------------------------------------------------------------------

@@ -14,9 +14,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <typeinfo>
 #include <vector>
 
+#include "grammar_fuzz.h"
 #include "obs/trace.h"
 
 namespace sb::obs {
@@ -276,57 +278,9 @@ TEST(PrometheusWriter, LabelsNodesAndRendersAllThreeKinds) {
 // Grammar fuzz: 10k seeded mutations (FaultPlan-fuzz contract)
 // --------------------------------------------------------------------------
 
-/// SplitMix64 mutation stream, independent of libc rand.
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  std::uint64_t below(std::uint64_t n) { return next() % n; }
-
-  char random_char() {
-    static const char kAlphabet[] =
-        "0123456789.:,-+eE \twindowburncapacity<>=_janp99\0\x7f";
-    return kAlphabet[below(sizeof(kAlphabet) - 1)];
-  }
-
-  std::string mutate(std::string s) {
-    const int edits = 1 + static_cast<int>(below(4));
-    for (int e = 0; e < edits; ++e) {
-      switch (below(5)) {
-        case 0:
-          if (!s.empty()) s[below(s.size())] = random_char();
-          break;
-        case 1:
-          s.insert(s.begin() +
-                       static_cast<std::ptrdiff_t>(below(s.size() + 1)),
-                   random_char());
-          break;
-        case 2:
-          if (!s.empty()) s.erase(below(s.size()), 1);
-          break;
-        case 3:
-          if (!s.empty()) s.resize(below(s.size()));
-          break;
-        case 4:
-          if (!s.empty()) {
-            const std::size_t at = below(s.size());
-            s += s.substr(at, below(s.size() - at) + 1);
-          }
-          break;
-      }
-    }
-    return s;
-  }
-
- private:
-  std::uint64_t state_;
-};
+/// Biased toward grammar-relevant bytes so mutations stay interesting.
+constexpr std::string_view kAlphabet = testfuzz::fuzz_alphabet(
+    "0123456789.:,-+eE \twindowburncapacity<>=_janp99\0\x7f");
 
 /// parse() must return or throw std::invalid_argument; nothing else. An
 /// accepted spec must round-trip through canonical().
@@ -351,7 +305,7 @@ TEST(TimeseriesConfigFuzz, TenThousandSeededMutations) {
   const std::vector<std::string> corpus = {"10",        "5:8192", "1:64",
                                            "60000:64",  "25",     "10:16777216",
                                            ""};
-  Mutator m(0x75dbULL);
+  testfuzz::Mutator m(0x75dbULL, kAlphabet);
   int parsed = 0, rejected = 0;
   for (int i = 0; i < 10'000; ++i) {
     const std::string input =

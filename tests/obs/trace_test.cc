@@ -122,6 +122,20 @@ TEST(ChromeTrace, ParsesAndCarriesSummaryBlock) {
   EXPECT_TRUE(found);
 }
 
+TEST(ChromeTrace, ArgNumbersReadBackExactly) {
+  EpochTracer t(16);
+  t.instant("migration", 0, 0, {{"gain", 0.1 + 0.2}, {"third", 1.0 / 3.0}});
+  RunObs r;
+  r.trace_enabled = true;
+  r.trace = t.snapshot();
+  std::ostringstream os;
+  write_chrome_trace(os, {&r});
+  const auto doc = testjson::parse(os.str());
+  const auto& args = doc.at("traceEvents").at(1).at("args");
+  EXPECT_EQ(args.at("gain").num(), 0.1 + 0.2);
+  EXPECT_EQ(args.at("third").num(), 1.0 / 3.0);
+}
+
 TEST(ChromeTrace, DroppedEventsSurfaceInSummary) {
   RunObs r = make_run(0, "r", 10, /*capacity=*/16);
   ASSERT_GT(r.trace.dropped, 0u);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <iomanip>
 #include <memory>
+#include <sstream>
 
+#include "mini_json.h"
 #include "os/vanilla_balancer.h"
 #include "sim/simulation.h"
 
@@ -60,6 +64,54 @@ TEST(Report, StructurallyValidAndComplete) {
     ++pos;
   }
   EXPECT_EQ(cores, 4u);
+}
+
+/// Checks one written number against the double it came from. The writer
+/// prints shortest round-trip text, so it must read back bit-exact; `lossy`
+/// counts the values the former 12-significant-digit spelling rounded.
+void expect_exact(const testjson::Value& written, double v, const char* key,
+                  int* lossy) {
+  EXPECT_EQ(written.num(), v) << key;
+  std::ostringstream old;
+  old << std::setprecision(12) << v;
+  if (std::strtod(old.str().c_str(), nullptr) != v) ++*lossy;
+}
+
+TEST(Report, EveryNumberReadsBackExactly) {
+  const SimulationResult r = sample_result();
+  const auto doc = testjson::parse(to_json(r));
+  int lossy = 0;
+  expect_exact(doc.at("simulated_ms"), to_millis(r.simulated), "simulated_ms",
+               &lossy);
+  expect_exact(doc.at("energy_j"), r.energy_j, "energy_j", &lossy);
+  expect_exact(doc.at("ips"), r.ips, "ips", &lossy);
+  expect_exact(doc.at("watts"), r.watts, "watts", &lossy);
+  expect_exact(doc.at("ips_per_watt"), r.ips_per_watt, "ips_per_watt",
+               &lossy);
+  expect_exact(doc.at("avg_sched_latency_us"), r.avg_sched_latency_us,
+               "avg_sched_latency_us", &lossy);
+  expect_exact(doc.at("thermal").at("max_temp_c"), r.max_temp_c,
+               "max_temp_c", &lossy);
+  ASSERT_EQ(doc.at("cores").size(), r.cores.size());
+  for (std::size_t i = 0; i < r.cores.size(); ++i) {
+    const auto& c = doc.at("cores").at(i);
+    expect_exact(c.at("energy_j"), r.cores[i].energy_j, "core energy_j",
+                 &lossy);
+    expect_exact(c.at("utilization"), r.cores[i].utilization,
+                 "core utilization", &lossy);
+    expect_exact(doc.at("thermal").at("final_temp_c").at(i),
+                 r.final_temp_c[i], "final_temp_c", &lossy);
+  }
+  ASSERT_EQ(doc.at("threads").size(), r.threads.size());
+  for (std::size_t i = 0; i < r.threads.size(); ++i) {
+    const auto& t = doc.at("threads").at(i);
+    expect_exact(t.at("energy_j"), r.threads[i].energy_j, "thread energy_j",
+                 &lossy);
+    expect_exact(t.at("avg_wait_us"), r.threads[i].avg_wait_us,
+                 "thread avg_wait_us", &lossy);
+  }
+  EXPECT_GT(lossy, 0) << "no value needed more than 12 digits; the check "
+                         "shows nothing";
 }
 
 TEST(Report, EscapesStrings) {

@@ -8,8 +8,10 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "arch/platform.h"
+#include "common/parallel.h"
 #include "os/vanilla_balancer.h"
 
 namespace sb::sim {
@@ -158,7 +160,21 @@ TEST(Runner, DefaultThreadsHonorsSbJobsEnv) {
   ::setenv("SB_JOBS", "not-a-number", 1);
   EXPECT_GE(ExperimentRunner::default_threads(), 1);
   ::unsetenv("SB_JOBS");
-  EXPECT_GE(ExperimentRunner::default_threads(), 1);
+  const int fallback = ExperimentRunner::default_threads();
+  EXPECT_GE(fallback, 1);
+  // Values the integer codec rejects fall back exactly like an unset
+  // SB_JOBS: no prefix ("4abc" is not 4), no sign, no exponent, no
+  // thread count beyond kMaxJobs.
+  const std::string prefix = std::to_string(fallback + 1);
+  for (const std::string& bad :
+       {prefix + "abc", "+" + prefix, prefix + "e0", " " + prefix,
+        std::string("0"), std::string("-3"),
+        std::to_string(common::kMaxJobs + 1),
+        std::string("99999999999999999999")}) {
+    ::setenv("SB_JOBS", bad.c_str(), 1);
+    EXPECT_EQ(ExperimentRunner::default_threads(), fallback) << bad;
+  }
+  ::unsetenv("SB_JOBS");
 }
 
 // --- Seed-derivation regression -------------------------------------------

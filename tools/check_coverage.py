@@ -16,6 +16,8 @@ Gates (any failing exits 1):
                     (default 0)
   --min-tsdb PCT    minimum line coverage for the telemetry plane
                     (src/obs/timeseries.* + src/obs/slo.*, default 0)
+  --min-spec PCT    minimum line coverage for the number codec
+                    (src/common/spec.*, default 0)
   --min-total PCT   minimum overall line coverage for src/ (default 0)
 
 --json FILE writes the per-file numbers for the CI artifact.
@@ -50,6 +52,8 @@ AREAS = [
     # stems inside src/obs/ and carries its own, stricter bar.
     ("tsdb", (os.path.join("src", "obs", "timeseries."),
               os.path.join("src", "obs", "slo."))),
+    # The one number codec and field splitter every boundary goes through.
+    ("spec", os.path.join("src", "common", "spec.")),
 ]
 DEFAULT_MINIMUMS = {"obs": 90.0}
 

@@ -16,6 +16,9 @@
 //   sbaudit --check --schema=tools/audit_schema.json export.csv
 //                                           schema validation, exit != 0 on
 //                                           any violation
+//
+// Like sbtop, it depends on nothing but the shared number codec
+// (common/spec.h), never on the simulator libraries.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -23,10 +26,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/spec.h"
 
 namespace {
 
@@ -143,10 +150,12 @@ class JsonParser {
       v.str = string_lit();
     } else {
       v.kind = JsonValue::kNumber;
-      char* end = nullptr;
-      v.number = std::strtod(s_.c_str() + pos_, &end);
-      if (end == s_.c_str() + pos_) fail("bad number");
-      pos_ = static_cast<std::size_t>(end - s_.c_str());
+      const std::size_t end = s_.find_first_not_of("+-0123456789.eE", pos_);
+      const auto num =
+          sb::spec::parse_double(std::string_view(s_).substr(pos_, end - pos_));
+      if (!num) fail("bad number");
+      v.number = *num;
+      pos_ = end == std::string::npos ? s_.size() : end;
     }
     return v;
   }
@@ -214,29 +223,9 @@ struct Export {
   std::vector<std::string> errors;  // populated in check mode
 };
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
+/// Field `i` of a row, 0 when absent or malformed (--check reports those).
 double field(const std::vector<std::string>& f, std::size_t i) {
-  double v = 0;
-  if (i < f.size()) parse_double(f[i], &v);
-  return v;
+  return i < f.size() ? sb::spec::parse_double(f[i]).value_or(0.0) : 0.0;
 }
 
 void parse_file(const std::string& path, Export& ex, bool check) {
@@ -252,17 +241,22 @@ void parse_file(const std::string& path, Export& ex, bool check) {
     if (line.empty()) continue;
     if (line[0] == '#') {
       if (line.rfind("#sb-audit v", 0) == 0) {
-        ex.version = std::atoi(line.c_str() + std::strlen("#sb-audit v"));
+        const auto v =
+            sb::spec::parse_int(line.substr(std::strlen("#sb-audit v")), 1);
+        if (v) ex.version = static_cast<int>(*v);
+        else if (check) err("bad export version: " + line);
       } else if (line.rfind("#columns ", 0) == 0) {
-        std::istringstream is(line.substr(std::strlen("#columns ")));
-        std::string kind, cols;
-        is >> kind >> cols;
-        ex.columns[kind] = split(cols, ',');
+        const auto f = sb::spec::split(line, ' ');  // #columns <kind> <cols>
+        if (f.size() == 3) ex.columns[f[1]] = sb::spec::split(f[2], ',');
+        else if (check) err("malformed #columns line: " + line);
       } else if (line.rfind("#run ", 0) == 0) {
         ++ex.runs;
       } else if (line.rfind("#summary runs=", 0) == 0) {
-        ex.declared_runs =
-            std::atoi(line.c_str() + std::strlen("#summary runs="));
+        const auto n =
+            sb::spec::parse_int(line.substr(std::strlen("#summary runs=")),
+                                0, std::numeric_limits<int>::max());
+        if (n) ex.declared_runs = static_cast<int>(*n);
+        else if (check) err("bad run count: " + line);
       } else if (line.rfind("#counters ", 0) == 0) {
         // informational
       } else if (check) {
@@ -270,7 +264,7 @@ void parse_file(const std::string& path, Export& ex, bool check) {
       }
       continue;
     }
-    const auto f = split(line, ',');
+    const auto f = sb::spec::split(line, ',');
     const std::string& kind = f[0];
     const auto it = ex.columns.find(kind);
     if (it == ex.columns.end()) {
@@ -286,8 +280,7 @@ void parse_file(const std::string& path, Export& ex, bool check) {
     }
     if (check) {
       for (std::size_t i = 1; i < f.size(); ++i) {
-        double v;
-        if (!parse_double(f[i], &v) || !std::isfinite(v)) {
+        if (!sb::spec::parse_double(f[i])) {
           err(kind + " row field '" + it->second[i - 1] +
               "' is not a finite number: " + f[i]);
         }

@@ -18,10 +18,12 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/platform.h"
 #include "arch/platform_loader.h"
+#include "common/spec.h"
 #include "core/predictor.h"
 #include "fleet/fleet.h"
 #include "obs/audit_writer.h"
@@ -35,6 +37,7 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulation.h"
+#include "workload/mixes.h"
 #include "workload/trace_loader.h"
 
 namespace {
@@ -131,6 +134,8 @@ using namespace sb;
   --json=<file>             dump the (last) run's full metrics as JSON
   --quiet                   headline numbers only
   (* gts/iks/utilaware need a big.LITTLE-style two-type platform)
+  Numbers are plain decimals inside each flag's range (no '+', blanks, hex
+  or trailing text); a bad value or spec exits 2 naming the flag.
 )";
   std::exit(code);
 }
@@ -173,16 +178,40 @@ struct Args {
   bool quiet = false;
 };
 
-std::vector<std::string> split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
+// Numeric flag bounds: a value beyond them is a typo, and a huge thread or
+// core count would exhaust memory before the first epoch.
+constexpr std::int64_t kMaxThreads = 16384;
+
+std::int64_t int_flag(std::string_view flag, std::string_view value,
+                      std::int64_t lo, std::int64_t hi) {
+  return spec::flag_int("sbsim", flag, value, lo, hi);
+}
+
+int threads_flag(std::string_view flag, std::string_view value) {
+  return static_cast<int>(int_flag(flag, value, 1, kMaxThreads));
+}
+
+/// `value` split on ':' into exactly `n` fields, or exit 2 naming the flag.
+std::vector<std::string> fields(std::string_view flag, std::string_view value,
+                                std::size_t n, std::string_view want) {
+  auto parts = spec::split(value, ':');
+  if (parts.size() != n) {
+    std::cerr << "sbsim: " << flag << ": bad value '" << value << "' (want "
+              << want << ")\n";
+    std::exit(2);
   }
-  return out;
+  return parts;
+}
+
+/// Parses a spec-grammar flag value; a bad one exits 2 naming the flag.
+template <typename Parse>
+auto spec_flag(std::string_view flag, const std::string& text, Parse parse) {
+  try {
+    return parse(text);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "sbsim: " << flag << ": " << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 Args parse(int argc, char** argv) {
@@ -200,35 +229,41 @@ Args parse(int argc, char** argv) {
     else if (arg.rfind("--fleet=", 0) == 0) a.fleet = value("--fleet=");
     else if (arg == "--compare") a.compare = true;
     else if (arg.rfind("--bench=", 0) == 0) {
-      const auto parts = split(value("--bench="), ':');
-      if (parts.size() != 2) usage(2);
-      a.benches.emplace_back(parts[0], std::atoi(parts[1].c_str()));
+      const auto parts =
+          fields("--bench", value("--bench="), 2, "<name>:<threads>");
+      a.benches.emplace_back(parts[0], threads_flag("--bench", parts[1]));
     } else if (arg.rfind("--bench-at=", 0) == 0) {
-      const auto parts = split(value("--bench-at="), ':');
-      if (parts.size() != 3) usage(2);
-      a.arrivals.emplace_back(milliseconds(std::atoll(parts[0].c_str())),
-                              parts[1], std::atoi(parts[2].c_str()));
+      const auto parts = fields("--bench-at", value("--bench-at="), 3,
+                                "<ms>:<name>:<threads>");
+      a.arrivals.emplace_back(
+          milliseconds(int_flag("--bench-at", parts[0], 0, kMaxDurationMs)),
+          parts[1], threads_flag("--bench-at", parts[2]));
     } else if (arg.rfind("--mix=", 0) == 0) {
-      const auto parts = split(value("--mix="), ':');
-      if (parts.size() != 2) usage(2);
-      a.mixes.emplace_back(std::atoi(parts[0].c_str()),
-                           std::atoi(parts[1].c_str()));
+      const auto parts =
+          fields("--mix", value("--mix="), 2, "<id>:<threads-per-member>");
+      const auto mix = int_flag("--mix", parts[0], 1, workload::num_mixes());
+      a.mixes.emplace_back(static_cast<int>(mix),
+                           threads_flag("--mix", parts[1]));
     } else if (arg.rfind("--duration-ms=", 0) == 0) {
-      a.duration = milliseconds(std::atoll(value("--duration-ms=").c_str()));
+      a.duration = milliseconds(int_flag("--duration-ms",
+                                         value("--duration-ms="), 1,
+                                         kMaxDurationMs));
     } else if (arg.rfind("--seed=", 0) == 0) {
-      a.seed = std::strtoull(value("--seed=").c_str(), nullptr, 10);
+      a.seed = spec::flag_u64("sbsim", "--seed", value("--seed="));
     } else if (arg == "--dvfs") a.dvfs = true;
     else if (arg.rfind("--governor=", 0) == 0) a.governor = value("--governor=");
     else if (arg == "--thermal") a.thermal = true;
     else if (arg.rfind("--thread-trace=", 0) == 0) {
-      const auto parts = split(value("--thread-trace="), ':');
-      if (parts.size() != 3) usage(2);
+      const auto parts = fields("--thread-trace", value("--thread-trace="), 3,
+                                "<csv>:<name>:<count>");
       a.thread_traces.emplace_back(parts[0], parts[1],
-                                   std::atoi(parts[2].c_str()));
+                                   threads_flag("--thread-trace", parts[2]));
     } else if (arg.rfind("--replay=", 0) == 0) {
       a.replay = value("--replay=");
     } else if (arg.rfind("--replay-ips=", 0) == 0) {
-      a.replay_ips = std::atof(value("--replay-ips=").c_str());
+      a.replay_ips = spec::flag_double("sbsim", "--replay-ips",
+                                       value("--replay-ips="), spec::kAboveZero,
+                                       1e3);
     } else if (arg.rfind("--fleet-arrivals=", 0) == 0) {
       a.fleet_arrivals = value("--fleet-arrivals=");
     } else if (arg.rfind("--save-model=", 0) == 0) {
@@ -304,30 +339,45 @@ Args parse(int argc, char** argv) {
     std::cerr << "--obs-window requires --timeseries or --slo\n";
     usage(2);
   }
+  // Every spec grammar is checked here, before anything is built or run.
+  const auto check = [](std::string_view flag, const std::string& text,
+                        auto parse) {
+    if (!text.empty()) (void)spec_flag(flag, text, parse);
+  };
+  check("--fleet", a.fleet, fleet::FleetConfig::parse);
+  check("--obs-window", a.obs_window, obs::TimeseriesConfig::parse);
+  check("--slo", a.slo, obs::SloConfig::parse);
+  check("--adapt", a.adapt, core::AdaptationConfig::parse);
+  check("--shards", a.shards, core::ShardingConfig::parse);
+  check("--faults", a.faults,
+        [](const std::string& t) { return fault::FaultPlan::parse(t); });
   return a;
 }
 
-arch::Platform make_platform(const std::string& spec) {
-  if (spec == "quad") return arch::Platform::quad_heterogeneous();
-  if (spec == "biglittle") return arch::Platform::octa_big_little();
-  if (spec.rfind("gen:", 0) == 0) {
-    return arch::generate_platform(spec.substr(4));
+arch::Platform make_platform(const std::string& name) {
+  if (name == "quad") return arch::Platform::quad_heterogeneous();
+  if (name == "biglittle") return arch::Platform::octa_big_little();
+  if (name.rfind("gen:", 0) == 0) {
+    return spec_flag("--platform", name.substr(4), arch::generate_platform);
   }
-  const auto parts = split(spec, ':');
+  const auto parts = spec::split(name, ':');
   if (parts.size() == 2 && parts[0] == "scaled") {
-    return arch::Platform::scaled_heterogeneous(std::atoi(parts[1].c_str()));
+    // Four core types of `per_type` cores each.
+    return arch::Platform::scaled_heterogeneous(
+        static_cast<int>(int_flag("--platform", parts[1], 1, kMaxCores / 4)));
   }
   if (parts.size() == 2 && parts[0] == "homogeneous") {
-    return arch::Platform::homogeneous(arch::medium_core(),
-                                       std::atoi(parts[1].c_str()));
+    return arch::Platform::homogeneous(
+        arch::medium_core(),
+        static_cast<int>(int_flag("--platform", parts[1], 1, kMaxCores)));
   }
-  std::cerr << "unknown platform: " << spec << "\n";
+  std::cerr << "unknown platform: " << name << "\n";
   usage(2);
 }
 
 core::SmartBalanceConfig sb_config(const Args& a) {
   core::SmartBalanceConfig cfg;
-  // Parse errors surface as std::invalid_argument -> main's catch -> exit 1.
+  // The specs were validated in parse(); these calls cannot throw.
   if (!a.adapt.empty()) cfg.adaptation = core::AdaptationConfig::parse(a.adapt);
   if (!a.shards.empty()) cfg.sharding = core::ShardingConfig::parse(a.shards);
   if (!a.faults.empty()) cfg.fault_plan = fault::FaultPlan::parse(a.faults);

@@ -5,8 +5,9 @@
 // time: per-signal sparklines over the sampled frames, a fleet node-health
 // rollup (node.<i>.* gauges), and SLO burn gauges (slo.burn.* against
 // slo.breached.*). Like sbaudit, sbtop only parses the export file — it
-// deliberately has no dependency on the simulator libraries, so it stays
-// honest about `#sb-tsdb v1` being a self-describing interface.
+// depends on nothing but the shared number codec (common/spec.h), never on
+// the simulator libraries, so it stays honest about `#sb-tsdb v1` being a
+// self-describing interface.
 //
 // Modes:
 //   sbtop export.csv              follow mode: re-read and redraw every
@@ -21,13 +22,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include "common/spec.h"
 
 namespace {
 
@@ -83,55 +86,54 @@ Export parse(const std::string& path) {
   std::uint64_t cur_t = 0;
   bool have_t = false;
   int lineno = 2;
+  const auto fail = [&](const std::string& why) {
+    out.error = path + ":" + std::to_string(lineno) + ": " + why;
+    return out;
+  };
+  // Reads the `key=<u64>` token of a #meta / #counters line into *field;
+  // false when its value is malformed.
+  const auto read_u64 = [&](const std::string& key, std::uint64_t* field) {
+    for (const std::string& tok : sb::spec::split(line, ' ')) {
+      if (!starts_with(tok, key.c_str())) continue;
+      const auto v = sb::spec::parse_u64(tok.substr(key.size()));
+      if (!v) return false;
+      *field = *v;
+    }
+    return true;
+  };
   while (std::getline(in, line)) {
     ++lineno;
     if (starts_with(line, "#run ")) {
+      const std::string rest = line.substr(5);
+      const std::size_t sp = rest.find(' ');
+      const auto index = sb::spec::parse_int(rest.substr(0, sp), 0,
+                                             std::numeric_limits<int>::max());
+      if (!index) return fail("bad run index");
       out.runs.emplace_back();
       cur = &out.runs.back();
-      std::istringstream ss(line.substr(5));
-      ss >> cur->index;
-      std::getline(ss >> std::ws, cur->label);
+      cur->index = static_cast<int>(*index);
+      if (sp != std::string::npos) cur->label = rest.substr(sp + 1);
       have_t = false;
     } else if (starts_with(line, "#meta ")) {
       if (cur == nullptr) continue;
-      std::istringstream ss(line.substr(6));
-      std::string tok;
-      ss >> tok;  // run index
-      while (ss >> tok) {
-        if (starts_with(tok, "window_ns="))
-          cur->window_ns = std::strtoull(tok.c_str() + 10, nullptr, 10);
-      }
+      if (!read_u64("window_ns=", &cur->window_ns)) return fail("bad window");
     } else if (starts_with(line, "#counters ")) {
       if (cur == nullptr) continue;
-      std::istringstream ss(line.substr(10));
-      std::string tok;
-      ss >> tok;
-      while (ss >> tok) {
-        if (starts_with(tok, "dropped="))
-          cur->dropped = std::strtoull(tok.c_str() + 8, nullptr, 10);
-      }
+      if (!read_u64("dropped=", &cur->dropped)) return fail("bad dropped");
     } else if (starts_with(line, "sample,")) {
-      if (cur == nullptr) {
-        out.error = path + ":" + std::to_string(lineno) +
-                    ": sample row before any #run";
-        return out;
-      }
-      const std::size_t c1 = line.find(',', 7);
-      const std::size_t c2 =
-          c1 == std::string::npos ? c1 : line.find(',', c1 + 1);
-      if (c2 == std::string::npos) {
-        out.error = path + ":" + std::to_string(lineno) + ": malformed row";
-        return out;
-      }
-      const std::uint64_t t_ns =
-          std::strtoull(line.c_str() + 7, nullptr, 10);
-      const std::string signal = line.substr(c1 + 1, c2 - c1 - 1);
-      const double value = std::strtod(line.c_str() + c2 + 1, nullptr);
-      if (!have_t || t_ns != cur_t) {
-        if (!have_t) cur->first_t_ns = t_ns;
+      if (cur == nullptr) return fail("sample row before any #run");
+      const auto f = sb::spec::split(line, ',');
+      if (f.size() != 4) return fail("malformed row");
+      const auto t_ns = sb::spec::parse_u64(f[1]);
+      const auto v = sb::spec::parse_double(f[3]);
+      if (!t_ns || !v) return fail("malformed number in row");
+      const std::string& signal = f[2];
+      const double value = *v;
+      if (!have_t || *t_ns != cur_t) {
+        if (!have_t) cur->first_t_ns = *t_ns;
         have_t = true;
-        cur_t = t_ns;
-        cur->last_t_ns = t_ns;
+        cur_t = *t_ns;
+        cur->last_t_ns = *t_ns;
         ++cur->frames;
       }
       auto [it, fresh] = cur->series.try_emplace(signal);
@@ -140,10 +142,8 @@ Export parse(const std::string& path) {
       Series& s = it->second;
       s.values.push_back(value);
       s.last = value;
-      if (std::isfinite(value)) {
-        s.lo = std::min(s.lo, value);
-        s.hi = std::max(s.hi, value);
-      }
+      s.lo = std::min(s.lo, value);
+      s.hi = std::max(s.hi, value);
     }
     // #summary and unknown directives are ignored: sbtop is a viewer, the
     // strict validator is tools/check_timeseries.py.
@@ -239,8 +239,12 @@ void render(const Export& e, const std::string& path, bool plain) {
       if (!starts_with(name, "node.")) continue;
       const std::size_t dot = name.find('.', 5);
       if (dot == std::string::npos) continue;
-      const int node = std::atoi(name.c_str() + 5);
-      nodes[node].emplace_back(name.substr(dot + 1), &run.series.at(name));
+      const auto node = sb::spec::parse_int(
+          std::string_view(name).substr(5, dot - 5), 0,
+          std::numeric_limits<int>::max());
+      if (!node) continue;
+      nodes[static_cast<int>(*node)].emplace_back(name.substr(dot + 1),
+                                                  &run.series.at(name));
     }
     if (!nodes.empty()) {
       std::printf("  nodes:\n");
@@ -301,11 +305,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--plain") {
       plain = true;
     } else if (starts_with(arg, "--interval-ms=")) {
-      interval_ms = std::atoi(arg.c_str() + 14);
-      if (interval_ms <= 0) {
-        std::fprintf(stderr, "sbtop: bad --interval-ms\n");
-        return 2;
-      }
+      interval_ms = static_cast<int>(sb::spec::flag_int(
+          "sbtop", "--interval-ms", std::string_view(arg).substr(14), 1,
+          3'600'000));
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
