@@ -1,7 +1,8 @@
 // Google-benchmark micro benchmarks for the hot paths: the fixed-point
 // primitives the in-kernel optimizer relies on, one SA iteration, the
-// predictor, characterization-matrix construction, CFS runqueue operations
-// and a full simulated epoch.
+// predictor, characterization-matrix construction, the shared bus's
+// per-dispatch write and read, CFS runqueue operations and a full simulated
+// epoch.
 //
 // After the google-benchmark suite runs, main() measures the SA optimizer
 // on the Fig. 7 scalability extremes and the predict phase
@@ -21,6 +22,7 @@
 #include <string>
 
 #include "alloc_hook.h"
+#include "arch/memory_system.h"
 #include "arch/platform.h"
 #include "arch/platform_loader.h"
 #include "bench_json.h"
@@ -180,6 +182,24 @@ void BM_IntervalModelEvaluate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntervalModelEvaluate);
+
+void BM_SharedBusDispatch(benchmark::State& state) {
+  // The bus's share of one kernel dispatch on an n-core platform: one
+  // traffic write for the segment that just ended, then the latency read
+  // that freezes the next segment's model evaluation.
+  const int n = static_cast<int>(state.range(0));
+  arch::SharedBus bus(n);
+  for (CoreId c = 0; c < n; ++c) bus.record_traffic(c, 300.0 + c, 50'000);
+  CoreId c = 0;
+  double misses = 0;
+  for (auto _ : state) {
+    bus.record_traffic(c, misses, 50'000);
+    benchmark::DoNotOptimize(bus.effective_latency_ns());
+    if (++c == n) c = 0;
+    misses = misses < 1000.0 ? misses + 7.0 : 0.0;
+  }
+}
+BENCHMARK(BM_SharedBusDispatch)->Arg(4)->Arg(128)->Arg(1024);
 
 void BM_CfsEnqueuePop(benchmark::State& state) {
   os::CfsRunqueue rq;

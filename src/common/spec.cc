@@ -108,6 +108,37 @@ void json_number(std::ostream& os, double v) {
   os.write(buf, print(buf, v) - buf);
 }
 
+void json_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        os << "\\\"";
+        break;
+      case '\\':
+        os << "\\\\";
+        break;
+      case '\n':
+        os << "\\n";
+        break;
+      case '\t':
+        os << "\\t";
+        break;
+      case '\r':
+        os << "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static constexpr char kHex[] = "0123456789abcdef";
+          os << "\\u00" << kHex[(c >> 4) & 0xf] << kHex[c & 0xf];
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
+
 std::int64_t flag_int(std::string_view tool, std::string_view flag,
                       std::string_view value, std::int64_t lo,
                       std::int64_t hi) {

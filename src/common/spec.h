@@ -58,6 +58,11 @@ void append_u64(std::string& out, std::uint64_t v);
 /// no literal for them).
 void json_number(std::ostream& os, double v);
 
+/// JSON string: `s` in double quotes with '"' and '\\' backslash-escaped,
+/// newline, tab and carriage return as \n, \t and \r, and every other
+/// control character as \u00XX. The one escaper behind every JSON export.
+void json_string(std::ostream& os, std::string_view s);
+
 /// Command-line flag values for the tools and bench harnesses: the parsed
 /// value or, for anything the matching parser rejects, a message on stderr
 /// naming the tool and the flag and exit status 2, e.g.

@@ -151,6 +151,27 @@ ShardedBalancer::ShardedBalancer(const arch::Platform& platform,
       col_of_core_[static_cast<std::size_t>(cores[j])] = static_cast<int>(j);
     }
   }
+  // Exchange-phase tables: fixed by the partition, so built once here.
+  const CoreTypeId q = platform.num_types();
+  cores_by_type_.resize(static_cast<std::size_t>(q));
+  for (CoreTypeId t = 0; t < q; ++t) {
+    cores_by_type_[static_cast<std::size_t>(t)] = platform.cores_of_type(t);
+  }
+  const std::size_t shards = partition_.cores.size();
+  shard_mask_.resize(shards);
+  reachable_.assign(shards * static_cast<std::size_t>(q), 0);
+  for (std::size_t sidx = 0; sidx < shards; ++sidx) {
+    std::vector<std::size_t> in_shard(static_cast<std::size_t>(q), 0);
+    for (const CoreId c : partition_.cores[sidx]) {
+      shard_mask_[sidx].set(static_cast<std::size_t>(c));
+      ++in_shard[static_cast<std::size_t>(platform.type_of(c))];
+    }
+    for (CoreTypeId t = 0; t < q; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      reachable_[sidx * static_cast<std::size_t>(q) + ti] =
+          cores_by_type_[ti].size() > in_shard[ti] ? 1 : 0;
+    }
+  }
   optimizers_.reserve(partition_.cores.size());
   for (std::size_t k = 0; k < partition_.cores.size(); ++k) {
     optimizers_.push_back(std::make_unique<SaOptimizer>(sa_));
@@ -380,37 +401,11 @@ int ShardedBalancer::exchange(
           : std::max(1, std::min(static_cast<int>(m) / 16, 4 * k));
   if (budget <= 0 || k < 2) return 0;
 
-  // Shard membership masks for the apply loop, plus a per-(shard, type)
-  // reachability table for the scan. The scan must not pay bitset
-  // arithmetic per (thread, type), so affinity is enforced later, at apply
-  // time — a pinned thread's candidate simply finds no destination.
+  // The scan must not pay bitset arithmetic per (thread, type), so it reads
+  // the per-(shard, type) reachability table and affinity is enforced
+  // later, at apply time — a pinned thread's candidate simply finds no
+  // destination.
   const CoreTypeId q = platform_.num_types();
-  // cores_of_type returns by value — materialize each type's core list
-  // once; the scan below would otherwise copy it per (thread, type).
-  std::vector<std::vector<CoreId>> cores_by_type(static_cast<std::size_t>(q));
-  for (CoreTypeId t = 0; t < q; ++t) {
-    cores_by_type[static_cast<std::size_t>(t)] = platform_.cores_of_type(t);
-  }
-  std::vector<std::bitset<kMaxCores>> shard_mask(static_cast<std::size_t>(k));
-  std::vector<char> reachable(static_cast<std::size_t>(k) *
-                                  static_cast<std::size_t>(q),
-                              0);
-  for (int sidx = 0; sidx < k; ++sidx) {
-    std::vector<std::size_t> in_shard(static_cast<std::size_t>(q), 0);
-    for (const CoreId c : partition_.cores[static_cast<std::size_t>(sidx)]) {
-      shard_mask[static_cast<std::size_t>(sidx)].set(
-          static_cast<std::size_t>(c));
-      ++in_shard[static_cast<std::size_t>(platform_.type_of(c))];
-    }
-    for (CoreTypeId t = 0; t < q; ++t) {
-      reachable[static_cast<std::size_t>(sidx) * static_cast<std::size_t>(q) +
-                static_cast<std::size_t>(t)] =
-          cores_by_type[static_cast<std::size_t>(t)].size() >
-                  in_shard[static_cast<std::size_t>(t)]
-              ? 1
-              : 0;
-    }
-  }
   std::vector<int> load(sp.cols(), 0);
   for (const CoreId c : allocation) {
     if (c >= 0) ++load[static_cast<std::size_t>(c)];
@@ -437,12 +432,12 @@ int ShardedBalancer::exchange(
         cur_w > 0 ? sp.s(i, static_cast<std::size_t>(cur)) / cur_w : 0.0;
     Cand best{0.0, i, -1};
     for (CoreTypeId t = 0; t < q; ++t) {
-      if (!reachable[cur_shard * static_cast<std::size_t>(q) +
-                     static_cast<std::size_t>(t)]) {
+      if (!reachable_[cur_shard * static_cast<std::size_t>(q) +
+                      static_cast<std::size_t>(t)]) {
         continue;
       }
       const auto rep = static_cast<std::size_t>(
-          cores_by_type[static_cast<std::size_t>(t)].front());
+          cores_by_type_[static_cast<std::size_t>(t)].front());
       const double w = sp.p(i, rep);
       if (w <= 0) continue;
       const double eff = sp.s(i, rep) / w;
@@ -525,7 +520,7 @@ int ShardedBalancer::exchange(
   std::vector<std::vector<CoreId>> type_order(static_cast<std::size_t>(q));
   for (CoreTypeId t = 0; t < q; ++t) {
     auto& order = type_order[static_cast<std::size_t>(t)];
-    order = cores_by_type[static_cast<std::size_t>(t)];
+    order = cores_by_type_[static_cast<std::size_t>(t)];
     std::sort(order.begin(), order.end(), [&](CoreId a, CoreId b) {
       const int la = load[static_cast<std::size_t>(a)];
       const int lb = load[static_cast<std::size_t>(b)];
@@ -541,7 +536,7 @@ int ShardedBalancer::exchange(
         partition_.shard_of[static_cast<std::size_t>(allocation[c.row])]);
     CoreId dest = kInvalidCore;
     for (const CoreId cand : type_order[static_cast<std::size_t>(c.type)]) {
-      if (shard_mask[cur_shard].test(static_cast<std::size_t>(cand))) continue;
+      if (shard_mask_[cur_shard].test(static_cast<std::size_t>(cand))) continue;
       if (!affinity[c.row].test(static_cast<std::size_t>(cand))) continue;
       dest = cand;
       break;

@@ -178,6 +178,12 @@ class ShardedBalancer {
   ShardPartition partition_;
   /// Column remap: core id -> its column inside its shard's sub-problem.
   std::vector<int> col_of_core_;
+  /// Exchange-phase tables, fixed by the partition: each type's ascending
+  /// core list, each shard's core mask, and whether a thread in shard s can
+  /// reach a core of type t outside s (reachable_[s * types + t]).
+  std::vector<std::vector<CoreId>> cores_by_type_;
+  std::vector<std::bitset<kMaxCores>> shard_mask_;
+  std::vector<char> reachable_;
   /// One persistent optimizer (scratch arena) and task slot per shard.
   std::vector<std::unique_ptr<SaOptimizer>> optimizers_;
   std::vector<ShardTask> tasks_;

@@ -12,7 +12,6 @@
 #include "core/smart_balance.h"
 #include "core/trainer.h"
 #include "sim/experiment.h"
-#include "sim/report.h"
 #include "sim/simulation.h"
 #include "workload/benchmarks.h"
 #include "workload/sched_replay.h"
@@ -611,9 +610,11 @@ void tail_json(std::ostream& os, const char* key, const LatencyTail& t) {
 }  // namespace
 
 void write_fleet_json(std::ostream& os, const FleetResult& r) {
-  os << "{\"dispatch_policy\":\"" << sim::json_escape(r.dispatch_policy)
-     << "\",\"node_policy\":\"" << sim::json_escape(r.node_policy)
-     << "\",\"nodes\":" << r.nodes << ",\"simulated_ms\":";
+  os << "{\"dispatch_policy\":";
+  spec::json_string(os, r.dispatch_policy);
+  os << ",\"node_policy\":";
+  spec::json_string(os, r.node_policy);
+  os << ",\"nodes\":" << r.nodes << ",\"simulated_ms\":";
   spec::json_number(os, to_millis(r.simulated));
   os << ",\"jobs\":{\"arrived\":" << r.jobs_arrived
      << ",\"dispatched\":" << r.jobs_dispatched
@@ -634,9 +635,11 @@ void write_fleet_json(std::ostream& os, const FleetResult& r) {
   for (std::size_t i = 0; i < r.node_results.size(); ++i) {
     const auto& n = r.node_results[i];
     if (i) os << ",";
-    os << "{\"label\":\"" << sim::json_escape(n.label)
-       << "\",\"policy\":\"" << sim::json_escape(n.policy)
-       << "\",\"instructions\":" << n.instructions << ",\"energy_j\":";
+    os << "{\"label\":";
+    spec::json_string(os, n.label);
+    os << ",\"policy\":";
+    spec::json_string(os, n.policy);
+    os << ",\"instructions\":" << n.instructions << ",\"energy_j\":";
     spec::json_number(os, n.energy_j);
     os << ",\"ips_per_watt\":";
     spec::json_number(os, n.ips_per_watt);

@@ -120,39 +120,13 @@ void MetricsRegistry::merge(const MetricsRegistry& other,
   for (const auto& [name, h] : other.histograms_) histogram(name).merge(h);
 }
 
-namespace {
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   os << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
     if (!first) os << ',';
     first = false;
-    json_string(os, name);
+    spec::json_string(os, name);
     os << ':' << c.value;
   }
   os << "},\"gauges\":{";
@@ -160,7 +134,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     if (!first) os << ',';
     first = false;
-    json_string(os, name);
+    spec::json_string(os, name);
     os << ':';
     spec::json_number(os, g.value);
   }
@@ -169,7 +143,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, h] : histograms_) {
     if (!first) os << ',';
     first = false;
-    json_string(os, name);
+    spec::json_string(os, name);
     os << ":{\"count\":" << h.count() << ",\"sum\":" << h.sum()
        << ",\"min\":" << h.min() << ",\"max\":" << h.max() << ",\"mean\":";
     spec::json_number(os, h.mean());

@@ -82,28 +82,6 @@ EpochTracer::Snapshot EpochTracer::snapshot() const {
 
 namespace {
 
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Chrome trace timestamps are microseconds; keep nanosecond precision.
 void json_us(std::ostream& os, std::uint64_t ns) {
   os << ns / 1000 << '.' << static_cast<char>('0' + (ns % 1000) / 100)
@@ -113,7 +91,7 @@ void json_us(std::ostream& os, std::uint64_t ns) {
 
 void write_event(std::ostream& os, const RunObs& run, const TraceEvent& ev) {
   os << "{\"name\":";
-  json_string(os, run.trace.name_of(ev.name));
+  spec::json_string(os, run.trace.name_of(ev.name));
   os << ",\"cat\":\"epoch\",\"ph\":\"" << ev.phase << "\",\"ts\":";
   json_us(os, ev.ts_ns);
   if (ev.phase == 'X') {
@@ -125,7 +103,7 @@ void write_event(std::ostream& os, const RunObs& run, const TraceEvent& ev) {
      << ev.epoch;
   for (std::uint8_t a = 0; a < ev.nargs; ++a) {
     os << ',';
-    json_string(os, run.trace.name_of(ev.args[a].key));
+    spec::json_string(os, run.trace.name_of(ev.args[a].key));
     os << ':';
     spec::json_number(os, ev.args[a].value);
   }
@@ -159,7 +137,7 @@ void write_chrome_trace(std::ostream& os,
     first = false;
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":"
        << run->run << ",\"tid\":0,\"args\":{\"name\":";
-    json_string(os, run->label.empty() ? std::string("run") : run->label);
+    spec::json_string(os, run->label.empty() ? "run" : run->label);
     os << "}}";
     std::vector<const TraceEvent*> events;
     events.reserve(run->trace.events.size());

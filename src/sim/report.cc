@@ -1,7 +1,6 @@
 #include "sim/report.h"
 
 #include <cmath>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 
@@ -9,45 +8,13 @@
 #include "obs/trace.h"
 
 namespace sb::sim {
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream hex;
-          hex << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += hex.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_json(std::ostream& os, const SimulationResult& r) {
   os << "{";
-  os << "\"label\":\"" << json_escape(r.label) << "\",";
-  os << "\"policy\":\"" << json_escape(r.policy) << "\",";
-  os << "\"simulated_ms\":";
+  os << "\"label\":";
+  spec::json_string(os, r.label);
+  os << ",\"policy\":";
+  spec::json_string(os, r.policy);
+  os << ",\"simulated_ms\":";
   spec::json_number(os, to_millis(r.simulated));
   os << ",\"instructions\":" << r.instructions;
   os << ",\"energy_j\":";
@@ -182,8 +149,9 @@ void write_json(std::ostream& os, const SimulationResult& r) {
   for (std::size_t i = 0; i < r.cores.size(); ++i) {
     const auto& c = r.cores[i];
     if (i) os << ',';
-    os << "{\"id\":" << c.id << ",\"type\":\"" << json_escape(c.type_name)
-       << "\",\"instructions\":" << c.instructions << ",\"energy_j\":";
+    os << "{\"id\":" << c.id << ",\"type\":";
+    spec::json_string(os, c.type_name);
+    os << ",\"instructions\":" << c.instructions << ",\"energy_j\":";
     spec::json_number(os, c.energy_j);
     os << ",\"busy_ms\":";
     spec::json_number(os, to_millis(c.busy_ns));
@@ -201,8 +169,9 @@ void write_json(std::ostream& os, const SimulationResult& r) {
   for (std::size_t i = 0; i < r.threads.size(); ++i) {
     const auto& t = r.threads[i];
     if (i) os << ',';
-    os << "{\"tid\":" << t.tid << ",\"name\":\"" << json_escape(t.name)
-       << "\",\"instructions\":" << t.instructions << ",\"energy_j\":";
+    os << "{\"tid\":" << t.tid << ",\"name\":";
+    spec::json_string(os, t.name);
+    os << ",\"instructions\":" << t.instructions << ",\"energy_j\":";
     spec::json_number(os, t.energy_j);
     os << ",\"runtime_ms\":";
     spec::json_number(os, to_millis(t.runtime));

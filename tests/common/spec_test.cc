@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -136,6 +137,23 @@ TEST(Spec, JsonNumberWritesNullForNonFinite) {
   os << ',';
   json_number(os, -std::numeric_limits<double>::infinity());
   EXPECT_EQ(os.str(), "0.1,1e+21,null,null");
+}
+
+TEST(Spec, JsonStringEscapesQuotesBackslashesAndControls) {
+  const auto quoted = [](std::string_view s) {
+    std::ostringstream os;
+    json_string(os, s);
+    return os.str();
+  };
+  EXPECT_EQ(quoted("plain"), "\"plain\"");
+  EXPECT_EQ(quoted(""), "\"\"");
+  EXPECT_EQ(quoted("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(quoted("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(quoted("line\nbreak\ttab\rret"), "\"line\\nbreak\\ttab\\rret\"");
+  EXPECT_EQ(quoted(std::string_view("\x01\x1f", 2)), "\"\\u0001\\u001f\"");
+  EXPECT_EQ(quoted(std::string_view("nul\0x", 5)), "\"nul\\u0000x\"");
+  // Bytes at and above 0x20, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(quoted("/~\x7f\xc3\xa9"), "\"/~\x7f\xc3\xa9\"");
 }
 
 TEST(Spec, FlagHelpersReturnValidValues) {

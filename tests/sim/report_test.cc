@@ -8,6 +8,8 @@
 #include <sstream>
 
 #include "mini_json.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "os/vanilla_balancer.h"
 #include "sim/simulation.h"
 
@@ -115,11 +117,51 @@ TEST(Report, EveryNumberReadsBackExactly) {
 }
 
 TEST(Report, EscapesStrings) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  SimulationResult r;
+  r.label = "say \"hi\"";
+  r.policy = "a\\b";
+  r.cores.push_back({});
+  r.cores[0].type_name = "line\nbreak\ttab";
+  r.threads.push_back({});
+  r.threads[0].name = std::string(1, '\x01');
+  const std::string json = to_json(r);
+  EXPECT_NE(json.find("\"label\":\"say \\\"hi\\\"\""), std::string::npos);
+  EXPECT_NE(json.find("\"policy\":\"a\\\\b\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"line\\nbreak\\ttab\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"\\u0001\""), std::string::npos);
+}
+
+TEST(Report, LabelSpelledAlikeInEveryExport) {
+  // --json, --metrics and --trace all write strings through one escaper:
+  // the same label has the same spelling in each and parses back whole.
+  const std::string label = "q\"b\\n\nt\tc\x01";
+  const std::string spelled = "\"q\\\"b\\\\n\\nt\\tc\\u0001\"";
+
+  SimulationResult r;
+  r.label = label;
+  const std::string report = to_json(r);
+  EXPECT_NE(report.find("\"label\":" + spelled), std::string::npos) << report;
+  EXPECT_EQ(testjson::parse(report).at("label").str(), label);
+
+  obs::MetricsRegistry m;
+  m.counter(label).add(3);
+  const std::string metrics = m.to_json();
+  EXPECT_NE(metrics.find(spelled + ":3"), std::string::npos) << metrics;
+  EXPECT_EQ(testjson::parse(metrics).at("counters").at(label).num(), 3.0);
+
+  obs::EpochTracer tracer(16);
+  tracer.span(label, 0, 1000, 0);
+  obs::RunObs run;
+  run.label = label;
+  run.trace_enabled = true;
+  run.trace = tracer.snapshot();
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace, {&run});
+  EXPECT_NE(trace.str().find("{\"name\":" + spelled), std::string::npos)
+      << trace.str();
+  const auto events = testjson::parse(trace.str()).at("traceEvents");
+  EXPECT_EQ(events.at(0).at("args").at("name").str(), label);
+  EXPECT_EQ(events.at(1).at("name").str(), label);
 }
 
 TEST(Report, NonFiniteBecomesNull) {

@@ -605,11 +605,7 @@ void report(const Export& ex, const std::string& summary_path) {
     js << ",\"thread_records\":" << ex.threads.size();
     js << ",\"epoch_records\":" << ex.epochs.size();
     js << ",\"migration_records\":" << ex.migrations.size();
-    char buf[64];
-    auto num = [&](double v) {
-      std::snprintf(buf, sizeof buf, "%.6g", v);
-      js << buf;
-    };
+    auto num = [&](double v) { sb::spec::json_number(js, v); };
     js << ",\"perf_err_pct\":";
     num(mean(all_gips));
     js << ",\"power_err_pct\":";
