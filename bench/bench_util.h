@@ -15,12 +15,25 @@
 #include "common/spec.h"
 #include "common/types.h"
 #include "fault/fault_plan.h"
-#include "obs/audit_writer.h"
-#include "obs/trace.h"
+#include "obs/exports.h"
 #include "sim/experiment.h"
 #include "sim/runner.h"
 
 namespace sb::bench {
+
+/// Writes `exports` from `runs` (null entries skipped). Returns the
+/// harness exit status: 0, or 1 after printing why a file could not be
+/// written.
+inline int write_exports(const obs::Exports& exports,
+                         const std::vector<const obs::RunObs*>& runs) {
+  try {
+    exports.write(runs, std::cout);
+    return 0;
+  } catch (const std::runtime_error& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
+}
 
 /// Command-line knobs common to all harnesses:
 ///   --quick          shorter simulations (CI smoke mode)
@@ -42,6 +55,8 @@ namespace sb::bench {
 ///   --audit=FILE     record the prediction-audit flight recorder on every
 ///                    run and write the merged packed-CSV export (analyze
 ///                    with tools/sbaudit)
+/// Each harness that honours the export flags turns on the collectors with
+/// obs_config() and ends with write_exports().
 struct Options {
   bool quick = false;
   std::uint64_t seed = 1234;
@@ -50,10 +65,8 @@ struct Options {
   std::string faults;
   std::uint64_t fault_seed = 0xfa517u;
   bool no_defense = false;
-  std::string trace;  // Chrome trace-event JSON output path (empty = off)
-  bool metrics = false;
-  std::string metrics_json;  // merged metrics registry JSON (empty = off)
-  std::string audit;  // merged prediction-audit export (empty = off)
+  bool metrics = false;  // bare --metrics: print the merged registry
+  obs::Exports exports;  // --trace, --metrics-json, --audit
 
   static Options parse(int argc, char** argv) {
     Options o;
@@ -80,14 +93,13 @@ struct Options {
       } else if (a == "--no-defense") {
         o.no_defense = true;
       } else if (a.rfind("--trace=", 0) == 0) {
-        o.trace = a.substr(8);
+        o.exports.trace = a.substr(8);
       } else if (a == "--metrics") {
         o.metrics = true;
       } else if (a.rfind("--metrics-json=", 0) == 0) {
-        o.metrics_json = a.substr(15);
-        o.metrics = true;
+        o.exports.metrics = a.substr(15);
       } else if (a.rfind("--audit=", 0) == 0) {
-        o.audit = a.substr(8);
+        o.exports.audit = a.substr(8);
       } else if (a == "--help" || a == "-h") {
         std::cout << "options: --quick --seed=N --duration-ms=N --jobs=N "
                      "--faults=SPEC --fault-seed=N --no-defense "
@@ -99,9 +111,7 @@ struct Options {
         std::exit(2);
       }
     }
-    if (o.trace.empty()) {
-      if (const char* env = std::getenv("SB_TRACE")) o.trace = env;
-    }
+    o.exports.trace_from_env();
     try {
       (void)o.fault_plan();
     } catch (const std::invalid_argument& e) {
@@ -111,12 +121,29 @@ struct Options {
     return o;
   }
 
-  /// Applies the observability flags to a simulation config (no-op when
-  /// none of --trace/--metrics/--audit was given — the bit-identical path).
-  void apply_obs(sim::SimulationConfig& cfg) const {
-    cfg.obs.trace = cfg.obs.trace || !trace.empty();
-    cfg.obs.metrics = cfg.obs.metrics || metrics;
-    cfg.obs.audit = cfg.obs.audit || !audit.empty();
+  /// The collectors the observability flags need (all off when none of
+  /// --trace/--metrics/--metrics-json/--audit was given — the bit-identical
+  /// path).
+  obs::ObsConfig obs_config() const {
+    obs::ObsConfig cfg = exports.config();
+    cfg.metrics = cfg.metrics || metrics;
+    return cfg;
+  }
+
+  /// Writes the requested exports from `runs` (null entries skipped) and
+  /// prints the merged registry for a bare --metrics. Returns the harness
+  /// exit status: 0, or 1 after printing why an export could not be
+  /// written.
+  int write_exports(
+      const std::vector<std::shared_ptr<obs::RunObs>>& runs) const {
+    std::vector<const obs::RunObs*> view;
+    for (const auto& r : runs) view.push_back(r.get());
+    if (bench::write_exports(exports, view) != 0) return 1;
+    if (metrics && exports.metrics.empty()) {
+      std::cout << "metrics: ";
+      obs::write_metrics(std::cout, view);
+    }
+    return 0;
   }
 
   /// The fault plan requested on the command line ("uniform:R" expands to
@@ -182,8 +209,8 @@ inline GainRow make_gain_row(const std::string& label,
 }
 }  // namespace detail
 
-/// Batched variant of run_gain: queue every figure bar of a sweep up front,
-/// execute the whole batch through one ExperimentRunner (3 simulations per
+/// Figure-bar sweep: queue every bar of a sweep up front, execute the
+/// whole batch through one ExperimentRunner (3 simulations per
 /// bar — baseline, SmartBalance Eq. 11, SmartBalance global), and read the
 /// rows back in submission order. Parallelism spans the entire sweep, so
 /// wall-clock approaches cpu_time / threads even when single bars are
@@ -259,40 +286,6 @@ class GainSweep {
     return obs_;
   }
 
-  /// Writes the last run()'s merged Chrome trace-event JSON. Returns false
-  /// (and writes nothing) if no run carried a trace.
-  bool write_trace(const std::string& path) const {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : obs_) {
-      if (o && o->trace_enabled) runs.push_back(o.get());
-    }
-    if (runs.empty()) return false;
-    obs::write_chrome_trace_file(path, runs);
-    return true;
-  }
-
-  /// Writes the last run()'s merged prediction-audit export. Returns false
-  /// (and writes nothing) if no run carried the recorder.
-  bool write_audit(const std::string& path) const {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : obs_) {
-      if (o && o->audit_enabled) runs.push_back(o.get());
-    }
-    if (runs.empty()) return false;
-    obs::write_audit_file(path, runs);
-    return true;
-  }
-
-  /// Merges the metric registries of the last run() across all runs
-  /// (deterministic: merged in submission order).
-  obs::MetricsRegistry merged_metrics() const {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : obs_) {
-      if (o) runs.push_back(o.get());
-    }
-    return obs::merge_metrics(runs);
-  }
-
  private:
   arch::Platform platform_;
   sim::SimulationConfig cfg_;
@@ -303,25 +296,6 @@ class GainSweep {
   sim::BatchSummary summary_;
   std::vector<std::shared_ptr<obs::RunObs>> obs_;
 };
-
-/// Runs `workload` under `baseline` and both SmartBalance variants on
-/// `platform`, returning the normalized-efficiency row (the unit of
-/// Figs. 4 and 5).
-inline GainRow run_gain(const std::string& label,
-                        const arch::Platform& platform,
-                        const sim::SimulationConfig& cfg,
-                        const sim::WorkloadBuilder& workload,
-                        const sim::BalancerFactory& baseline) {
-  const auto runs = sim::compare_policies(
-      platform, cfg, workload,
-      {{"baseline", baseline},
-       {"smartbalance-eq11",
-        sim::smartbalance_factory(core::SmartBalanceConfig(),
-                                  /*paper_eq11_objective=*/true)},
-       {"smartbalance", sim::smartbalance_factory()}});
-  return detail::make_gain_row(label, runs[0].result, runs[1].result,
-                               runs[2].result);
-}
 
 inline void header(const std::string& title, const std::string& paper_claim) {
   std::cout << "==============================================================\n"

@@ -5,7 +5,6 @@
 // with the interactive benchmarks". Expected shape here: very large gains
 // when threads ≤ cores (the Huge/Big cores can sleep), moderate gains at
 // 8 threads, average in the tens of percent.
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -28,7 +27,7 @@ int main(int argc, char** argv) {
   sim::SimulationConfig cfg;
   cfg.duration = opt.duration;
   cfg.seed = opt.seed;
-  opt.apply_obs(cfg);
+  cfg.obs = opt.obs_config();
 
   const std::vector<int> thread_counts =
       opt.quick ? std::vector<int>{2, 8} : std::vector<int>{2, 4, 8};
@@ -78,21 +77,5 @@ int main(int argc, char** argv) {
             << TextTable::fmt(gains.min(), 1) << " %, max "
             << TextTable::fmt(gains.max(), 1) << " %]\n"
             << "Series written to fig4a_imb.csv\n";
-  if (!opt.trace.empty() && sweep.write_trace(opt.trace)) {
-    std::cout << "trace written to " << opt.trace << "\n";
-  }
-  if (!opt.audit.empty() && sweep.write_audit(opt.audit)) {
-    std::cout << "audit export written to " << opt.audit << "\n";
-  }
-  if (!opt.metrics_json.empty()) {
-    std::ofstream ms(opt.metrics_json);
-    sweep.merged_metrics().write_json(ms);
-    ms << "\n";
-    std::cout << "metrics written to " << opt.metrics_json << "\n";
-  } else if (opt.metrics) {
-    std::cout << "metrics: ";
-    sweep.merged_metrics().write_json(std::cout);
-    std::cout << "\n";
-  }
-  return 0;
+  return opt.write_exports(sweep.observability());
 }

@@ -4,7 +4,6 @@
 // Paper claim: GTS's utilization-threshold binary decision "limits GTS from
 // achieving (near) optimal energy efficiency by as much as ~20% in
 // comparison to SmartBalance".
-#include <fstream>
 #include <iostream>
 #include <vector>
 
@@ -26,7 +25,7 @@ int main(int argc, char** argv) {
   sim::SimulationConfig cfg;
   cfg.duration = opt.duration;
   cfg.seed = opt.seed;
-  opt.apply_obs(cfg);
+  cfg.obs = opt.obs_config();
 
   const std::vector<std::pair<std::string, int>> workloads = {
       {"bodytrack", 8},   {"x264_H_crew", 8}, {"x264_L_bow", 8},
@@ -69,21 +68,5 @@ int main(int argc, char** argv) {
             << "  global IPS/W objective (default):  "
             << TextTable::fmt(gains.mean(), 1) << " %\n"
             << "Series written to fig5_gts.csv\n";
-  if (!opt.trace.empty() && sweep.write_trace(opt.trace)) {
-    std::cout << "trace written to " << opt.trace << "\n";
-  }
-  if (!opt.audit.empty() && sweep.write_audit(opt.audit)) {
-    std::cout << "audit export written to " << opt.audit << "\n";
-  }
-  if (!opt.metrics_json.empty()) {
-    std::ofstream ms(opt.metrics_json);
-    sweep.merged_metrics().write_json(ms);
-    ms << "\n";
-    std::cout << "metrics written to " << opt.metrics_json << "\n";
-  } else if (opt.metrics) {
-    std::cout << "metrics: ";
-    sweep.merged_metrics().write_json(std::cout);
-    std::cout << "\n";
-  }
-  return 0;
+  return opt.write_exports(sweep.observability());
 }

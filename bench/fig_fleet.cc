@@ -26,7 +26,6 @@
 //   p99_excess_pct  — max(0, how much worse its p99 arrival-to-run is, %)
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,7 +36,6 @@
 #include "common/csv.h"
 #include "common/table.h"
 #include "fleet/fleet.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace {
@@ -112,6 +110,10 @@ int main(int argc, char** argv) {
   }
   const auto opt =
       bench::Options::parse(static_cast<int>(args.size()), args.data());
+  if (!opt.exports.audit.empty()) {
+    std::cerr << "fig_fleet: --audit: a fleet has no audit recorder\n";
+    return 2;
+  }
   bench::header("Fleet dispatch: energy-aware vs round-robin racks",
                 "sensing-driven placement extends the per-node energy story "
                 "fleet-wide: better inst/J at equal-or-better p99 latency");
@@ -160,9 +162,7 @@ int main(int argc, char** argv) {
       cfg.step_jobs = opt.jobs;
       cfg.load_cap = shape.load_cap;
       cfg.consolidation_bias = shape.consolidation_bias;
-      cfg.trace = !opt.trace.empty();
-      cfg.metrics = opt.metrics;
-      cfg.node_obs = opt.metrics || !opt.trace.empty();
+      cfg.obs = opt.obs_config();
       fleet::FleetSimulation f(cfg, shape.nodes);
       PolicyRow row;
       row.policy = policy;
@@ -252,28 +252,6 @@ int main(int argc, char** argv) {
   j.end_object();
   j.write("BENCH_fleet.json");
 
-  if (!opt.trace.empty()) {
-    std::vector<const obs::RunObs*> traced;
-    for (const auto& o : all_obs) {
-      if (o && o->trace_enabled) traced.push_back(o.get());
-    }
-    if (!traced.empty()) {
-      obs::write_chrome_trace_file(opt.trace, traced);
-      std::cout << "Trace written to " << opt.trace << "\n";
-    }
-  }
-  if (!opt.metrics_json.empty()) {
-    std::vector<const obs::RunObs*> runs;
-    for (const auto& o : all_obs) {
-      if (o) runs.push_back(o.get());
-    }
-    std::ofstream ms(opt.metrics_json);
-    if (!ms) {
-      std::cerr << "cannot write " << opt.metrics_json << "\n";
-      return 1;
-    }
-    obs::merge_metrics(runs).write_json(ms);
-    std::cout << "Metrics written to " << opt.metrics_json << "\n";
-  }
+  if (opt.write_exports(all_obs) != 0) return 1;
   return gate_violations == 0 ? 0 : 1;
 }

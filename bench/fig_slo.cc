@@ -30,9 +30,8 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "fleet/fleet.h"
+#include "obs/exports.h"
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -109,16 +108,15 @@ int main(int argc, char** argv) {
     cfg.duration = opt.duration;
     cfg.seed = opt.seed;
     cfg.step_jobs = opt.jobs;
-    cfg.slo = kSloSpec;
+    cfg.obs.slo = obs::SloConfig::parse(kSloSpec);
     fleet::FleetSimulation f(cfg, nodes);
     const fleet::FleetResult r = f.run();
 
     // The figure's data series: each arm's `#sb-tsdb` export (watch with
     // `sbtop --once fig_slo_rr.csv`; slo.burn.* rows show the budget burn).
-    if (r.obs) {
-      obs::write_timeseries_file(
-          "fig_slo_" + std::string(arms[i].key) + ".csv", {r.obs.get()});
-    }
+    obs::Exports series;
+    series.timeseries = "fig_slo_" + std::string(arms[i].key) + ".csv";
+    if (bench::write_exports(series, {r.obs.get()}) != 0) return 1;
 
     breaches_by_arm[i] = slo_breaches(r);
     je_by_arm[i] = r.je_inst_per_joule;

@@ -8,8 +8,11 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/matrix.h"
+#include "common/spec.h"
 
 namespace sb::core {
 
@@ -78,22 +81,36 @@ double PredictorModel::predict_power(CoreTypeId dst, double ipc) const {
 }
 
 void PredictorModel::save(std::ostream& os) const {
-  os << "smartbalance-predictor v1\n";
-  os << "types " << num_types_ << "\n";
-  os << std::setprecision(17);
-  os << "ipc_bounds " << ipc_floor_ << ' ' << ipc_ceiling_ << "\n";
+  std::string out = "smartbalance-predictor v1\ntypes";
+  const auto index = [&out](int v) {
+    out += ' ';
+    spec::append_int(out, v);
+  };
+  const auto number = [&out](double v) {
+    out += ' ';
+    spec::append_double(out, v);
+  };
+  index(num_types_);
+  out += "\nipc_bounds";
+  number(ipc_floor_);
+  number(ipc_ceiling_);
   for (CoreTypeId s = 0; s < num_types_; ++s) {
     for (CoreTypeId d = 0; d < num_types_; ++d) {
       if (s == d) continue;
-      os << "theta " << s << ' ' << d;
-      for (double v : theta(s, d)) os << ' ' << v;
-      os << "\n";
+      out += "\ntheta";
+      index(s);
+      index(d);
+      for (double v : theta(s, d)) number(v);
     }
   }
   for (CoreTypeId t = 0; t < num_types_; ++t) {
     const auto [a1, a0] = power_coeffs(t);
-    os << "power " << t << ' ' << a1 << ' ' << a0 << "\n";
+    out += "\npower";
+    index(t);
+    number(a1);
+    number(a0);
   }
+  os << out << '\n';
 }
 
 void PredictorModel::save_to_file(const std::string& path) const {
@@ -103,45 +120,63 @@ void PredictorModel::save_to_file(const std::string& path) const {
 }
 
 PredictorModel PredictorModel::load(std::istream& is) {
-  auto fail = [](const std::string& why) -> PredictorModel {
-    throw std::runtime_error("PredictorModel::load: " + why);
+  int line_no = 0;
+  auto fail = [&](const std::string& why) {
+    throw std::runtime_error("PredictorModel::load: line " +
+                             std::to_string(line_no) + ": " + why);
   };
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "smartbalance-predictor" ||
-      version != "v1") {
-    return fail("bad header");
+  // The next non-empty line's space-separated fields; none at end of input.
+  std::string line;
+  auto next = [&] {
+    while (std::getline(is, line)) {
+      ++line_no;
+      if (!line.empty()) return spec::split(line, ' ');
+    }
+    return std::vector<std::string>{};
+  };
+  auto number = [&](const std::string& field) {
+    const auto v = spec::parse_double(field);
+    if (!v) fail("bad number '" + field + "'");
+    return *v;
+  };
+
+  if (next() != std::vector<std::string>{"smartbalance-predictor", "v1"}) {
+    fail("bad header");
   }
-  std::string key;
-  int num_types = 0;
-  if (!(is >> key >> num_types) || key != "types" || num_types <= 0) {
-    return fail("bad type count");
+  auto f = next();
+  const auto types = f.size() == 2 && f[0] == "types"
+                         ? spec::parse_int(f[1], 1, kMaxCores)
+                         : std::nullopt;
+  if (!types) {
+    fail("bad type count (want types <n>, n in [1, " +
+         std::to_string(kMaxCores) + "])");
   }
-  PredictorModel m(num_types);
-  double floor = 0, ceiling = 0;
-  if (!(is >> key >> floor >> ceiling) || key != "ipc_bounds") {
-    return fail("bad ipc bounds");
-  }
-  m.set_ipc_bounds(floor, ceiling);
-  while (is >> key) {
-    if (key == "theta") {
-      int s = 0, d = 0;
+  PredictorModel m(static_cast<int>(*types));
+  auto index = [&](const std::string& field) {
+    const auto v = spec::parse_int(field, 0, m.num_types_ - 1);
+    if (!v) fail("core type '" + field + "' out of range");
+    return static_cast<CoreTypeId>(*v);
+  };
+  f = next();
+  if (f.size() != 3 || f[0] != "ipc_bounds") fail("bad ipc bounds");
+  m.set_ipc_bounds(number(f[1]), number(f[2]));
+  for (f = next(); !f.empty(); f = next()) {
+    if (f[0] == "theta") {
+      if (f.size() != 3 + kNumFeatures) {
+        fail("theta row wants 2 core types and " +
+             std::to_string(kNumFeatures) + " coefficients");
+      }
+      const CoreTypeId s = index(f[1]);
+      const CoreTypeId d = index(f[2]);
+      if (s == d) fail("theta row maps a core type onto itself");
       std::array<double, kNumFeatures> th{};
-      if (!(is >> s >> d)) return fail("truncated theta row");
-      for (auto& v : th) {
-        if (!(is >> v)) return fail("truncated theta coefficients");
-      }
-      if (s < 0 || s >= num_types || d < 0 || d >= num_types || s == d) {
-        return fail("theta indices out of range");
-      }
+      for (std::size_t i = 0; i < kNumFeatures; ++i) th[i] = number(f[3 + i]);
       m.set_theta(s, d, th);
-    } else if (key == "power") {
-      int t = 0;
-      double a1 = 0, a0 = 0;
-      if (!(is >> t >> a1 >> a0)) return fail("truncated power row");
-      if (t < 0 || t >= num_types) return fail("power index out of range");
-      m.set_power_coeffs(t, a1, a0);
+    } else if (f[0] == "power") {
+      if (f.size() != 4) fail("power row wants a core type and 2 coefficients");
+      m.set_power_coeffs(index(f[1]), number(f[2]), number(f[3]));
     } else {
-      return fail("unknown record: " + key);
+      fail("unknown record: " + f[0]);
     }
   }
   return m;

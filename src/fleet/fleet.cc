@@ -126,17 +126,9 @@ FleetSimulation::FleetSimulation(FleetConfig cfg,
         "FleetSimulation: need 1 platform (replicated) or exactly "
         "cfg.nodes platforms");
   }
-  const bool want_ts = cfg_.timeseries || !cfg_.slo.empty();
-  if (cfg_.trace || cfg_.metrics || want_ts) {
-    obs::ObsConfig ocfg;
-    ocfg.metrics = cfg_.metrics;
-    ocfg.trace = cfg_.trace;
-    ocfg.timeseries.enabled = want_ts;
-    ocfg.timeseries.window = cfg_.obs_window;
-    ocfg.timeseries.capacity = cfg_.obs_capacity;
-    if (!cfg_.slo.empty()) ocfg.slo = obs::SloConfig::parse(cfg_.slo);
-    obs_ = std::make_unique<obs::Sink>(ocfg);
-    ts_next_ = cfg_.obs_window;
+  if (cfg_.obs.enabled()) {
+    obs_ = std::make_unique<obs::Sink>(cfg_.obs);
+    ts_next_ = cfg_.obs.timeseries.window;
   }
   if (!cfg_.arrival_replay.empty()) {
     // Replace the MMPP clock with the trace's spawn instants. The trace is
@@ -185,14 +177,14 @@ void FleetSimulation::build_nodes(
     scfg.seed = cfg_.seed + static_cast<std::uint64_t>(i + 1) *
                                 0x9e3779b97f4a7c15ULL;
     scfg.label = "node" + std::to_string(i);
-    scfg.obs.metrics = cfg_.node_obs;
-    // With node_obs, every node runs its own sampler at the fleet cadence;
-    // the per-node series ride into the export as run = node index + 1.
-    // SLO objectives stay fleet-level (they score the fleet's signals).
-    if (cfg_.node_obs && (cfg_.timeseries || !cfg_.slo.empty())) {
+    scfg.obs.metrics = cfg_.obs.metrics;
+    // With metrics on, every node runs its own sampler at the fleet
+    // cadence when the fleet samples; the per-node series ride into the
+    // export as run = node index + 1. SLO objectives stay fleet-level
+    // (they score the fleet's signals).
+    if (cfg_.obs.metrics && obs_ && obs_->timeseries() != nullptr) {
+      scfg.obs.timeseries = cfg_.obs.timeseries;
       scfg.obs.timeseries.enabled = true;
-      scfg.obs.timeseries.window = cfg_.obs_window;
-      scfg.obs.timeseries.capacity = cfg_.obs_capacity;
     }
     node->sim = std::make_unique<sim::Simulation>(node->platform, scfg);
     node->sim->set_balancer(factory(*node->sim));
@@ -461,7 +453,7 @@ void FleetSimulation::sample_timeseries(TimeNs now) {
     }
     obs_->complete_frame();
     ts_last_ = ts_next_;
-    ts_next_ += cfg_.obs_window;
+    ts_next_ += cfg_.obs.timeseries.window;
   }
 }
 

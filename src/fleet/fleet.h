@@ -105,7 +105,7 @@ struct FleetResult {
   /// Fleet-level observability (null unless trace/metrics enabled):
   /// fleet.quantum spans, fleet.dispatch instants, fleet.job.* histograms.
   std::shared_ptr<obs::RunObs> obs;
-  /// Per-node metrics registries (node_obs only), run = node index + 1.
+  /// Per-node metrics registries (obs.metrics only), run = node index + 1.
   std::vector<std::shared_ptr<obs::RunObs>> node_obs;
 };
 

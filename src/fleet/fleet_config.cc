@@ -102,6 +102,10 @@ void FleetConfig::validate() const {
     throw std::invalid_argument(
         "FleetConfig: consolidation_bias out of [0, 10]");
   }
+  if (obs.audit) {
+    throw std::invalid_argument(
+        "FleetConfig: obs.audit (a fleet has no audit recorder)");
+  }
 }
 
 }  // namespace sb::fleet

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/types.h"
+#include "obs/sink.h"
 
 namespace sb::fleet {
 
@@ -59,22 +60,15 @@ struct FleetConfig {
   /// the catalog), looping the trace by its span until the window closes.
   /// Set via sbsim --fleet-arrivals=replay:<file>.
   std::string arrival_replay;
-  /// Fleet-level observability (fleet.quantum spans, fleet.dispatch
-  /// instants, job latency histograms).
-  bool trace = false;
-  bool metrics = false;
-  /// Also collect each node's metrics registry (merged into exports).
-  bool node_obs = false;
-  /// Continuous telemetry plane (obs/timeseries.h): samples the fleet —
-  /// and, with node_obs, every node — at obs_window cadence of simulated
-  /// time. Exports stay byte-identical across step_jobs worker counts.
-  bool timeseries = false;
-  TimeNs obs_window = milliseconds(10);
-  std::size_t obs_capacity = std::size_t{1} << 16;
-  /// Non-empty: SLO burn-rate objectives over the fleet's sampled signals
-  /// (obs/slo.h grammar, e.g. "p99_wake_us<2000:burn=0.02"); implies
-  /// timeseries.
-  std::string slo;
+  /// Fleet-level observability: fleet.quantum spans and fleet.dispatch
+  /// instants (trace), job latency histograms (metrics), the sampled
+  /// telemetry plane at obs.timeseries.window of simulated time
+  /// (timeseries) and burn-rate objectives over its signals (slo). With
+  /// metrics on, every node also collects its own registry — and, when the
+  /// fleet samples, its own series at the same cadence. Exports stay
+  /// byte-identical across step_jobs worker counts. There is no fleet-level
+  /// audit recorder, so validate() rejects obs.audit.
+  obs::ObsConfig obs;
 
   /// Parses "N[:policy[:rate]]", e.g. "8", "8:rr", "8:energy:450".
   static FleetConfig parse(const std::string& text);

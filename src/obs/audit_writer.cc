@@ -1,9 +1,7 @@
 #include "obs/audit_writer.h"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "common/spec.h"
@@ -197,13 +195,6 @@ void write_audit(std::ostream& os, const std::vector<const RunObs*>& runs) {
     ++exported;
   }
   os << "#summary runs=" << exported << '\n';
-}
-
-void write_audit_file(const std::string& path,
-                      const std::vector<const RunObs*>& runs) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot open audit export: " + path);
-  write_audit(os, runs);
 }
 
 }  // namespace sb::obs

@@ -49,7 +49,5 @@ const char* audit_state_columns();
 /// independent of the order runs are passed in and of the --jobs worker
 /// count that produced them. Runs without audit enabled are skipped.
 void write_audit(std::ostream& os, const std::vector<const RunObs*>& runs);
-void write_audit_file(const std::string& path,
-                      const std::vector<const RunObs*>& runs);
 
 }  // namespace sb::obs

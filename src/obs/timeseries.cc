@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <stdexcept>
 
@@ -202,17 +201,6 @@ void write_timeseries_json(std::ostream& os,
   os << "]}\n";
 }
 
-void write_timeseries_file(const std::string& path,
-                           const std::vector<const RunObs*>& runs) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot open timeseries export: " + path);
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    write_timeseries_json(os, runs);
-  } else {
-    write_timeseries(os, runs);
-  }
-}
-
 // --- Prometheus exposition ------------------------------------------------
 
 namespace {
@@ -297,13 +285,6 @@ void write_prometheus(std::ostream& os,
       }
     }
   }
-}
-
-void write_prometheus_file(const std::string& path,
-                           const std::vector<const RunObs*>& runs) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw std::runtime_error("cannot open prometheus export: " + path);
-  write_prometheus(os, runs);
 }
 
 }  // namespace sb::obs

@@ -151,9 +151,6 @@ void write_timeseries(std::ostream& os,
 /// The same data as one JSON document (schema/version/runs[]).
 void write_timeseries_json(std::ostream& os,
                            const std::vector<const RunObs*>& runs);
-/// Dispatches on extension: ".json" selects the JSON rendering.
-void write_timeseries_file(const std::string& path,
-                           const std::vector<const RunObs*>& runs);
 
 /// Prometheus text exposition snapshot of the run set's metrics
 /// registries: counters and gauges become `sb_<name>` samples, histograms
@@ -162,7 +159,5 @@ void write_timeseries_file(const std::string& path,
 /// names sorted, runs ordered by stamped index.
 void write_prometheus(std::ostream& os,
                       const std::vector<const RunObs*>& runs);
-void write_prometheus_file(const std::string& path,
-                           const std::vector<const RunObs*>& runs);
 
 }  // namespace sb::obs

@@ -1,10 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <ostream>
-#include <stdexcept>
 
 #include "common/spec.h"
 
@@ -157,13 +154,6 @@ void write_chrome_trace(std::ostream& os,
   os << "],\"displayTimeUnit\":\"ms\",\"smartbalance\":{\"runs\":"
      << ordered.size() << ",\"events\":" << total_events
      << ",\"dropped_events\":" << total_dropped << "}}\n";
-}
-
-void write_chrome_trace_file(const std::string& path,
-                             const std::vector<const RunObs*>& runs) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write trace file " + path);
-  write_chrome_trace(out, runs);
 }
 
 MetricsRegistry merge_metrics(const std::vector<const RunObs*>& runs) {

@@ -120,8 +120,6 @@ struct RunObs {
 /// function of the per-run snapshots — independent of the order runs are
 /// passed in and of the --jobs worker count that produced them.
 void write_chrome_trace(std::ostream& os, const std::vector<const RunObs*>& runs);
-void write_chrome_trace_file(const std::string& path,
-                             const std::vector<const RunObs*>& runs);
 
 /// Name-ordered merge of every run's metrics registry.
 MetricsRegistry merge_metrics(const std::vector<const RunObs*>& runs);

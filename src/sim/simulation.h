@@ -45,16 +45,6 @@ struct SimulationConfig {
   /// Observability: metrics registry and/or epoch tracer (see src/obs/).
   /// Off by default — a disabled run is bit-identical to a pre-obs build.
   obs::ObsConfig obs;
-  /// Non-empty: writes the run's epoch trace as Chrome trace-event JSON at
-  /// the end of run() (implies obs.trace).
-  std::string chrome_trace_path;
-  /// Non-empty: writes the run's prediction-audit export (packed CSV, see
-  /// obs/audit_writer.h) at the end of run() (implies obs.audit).
-  std::string audit_path;
-  /// Non-empty: writes the run's `#sb-tsdb v1` timeseries export (CSV, or
-  /// JSON for a .json path) at the end of run() (implies obs.timeseries).
-  /// Cadence and capacity come from obs.timeseries (--obs-window).
-  std::string timeseries_path;
 };
 
 class Simulation {
@@ -133,7 +123,6 @@ class Simulation {
 
  private:
   void prepare_run();
-  SimulationResult finalize_run();
   void sample_tick(TimeNs window);
   void ts_tick();
   void apply_arrivals();

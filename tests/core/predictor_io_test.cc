@@ -62,6 +62,16 @@ TEST(PredictorIo, RejectsGarbage) {
   std::stringstream bad_types("smartbalance-predictor v1\ntypes -3\n");
   EXPECT_THROW(PredictorModel::load(bad_types), std::runtime_error);
 
+  // One more type than cores could exist: rejected before the 1025^2-pair
+  // theta table (about 84 MB) is ever allocated.
+  std::stringstream huge_types(
+      "smartbalance-predictor v1\ntypes 1025\nipc_bounds 0.02 8\n");
+  EXPECT_THROW(PredictorModel::load(huge_types), std::runtime_error);
+
+  std::stringstream junk_number(
+      "smartbalance-predictor v1\ntypes 2\nipc_bounds 0.02x 8\n");
+  EXPECT_THROW(PredictorModel::load(junk_number), std::runtime_error);
+
   std::stringstream truncated(
       "smartbalance-predictor v1\ntypes 2\nipc_bounds 0.02 8\ntheta 0 1 1 2");
   EXPECT_THROW(PredictorModel::load(truncated), std::runtime_error);

@@ -97,6 +97,7 @@ TEST(FleetConfig, ValidateRejectsBadApiFields) {
   bad([](FleetConfig& c) { c.zipf_theta = -1; });
   bad([](FleetConfig& c) { c.load_cap = 0.1; });
   bad([](FleetConfig& c) { c.consolidation_bias = -0.5; });
+  bad([](FleetConfig& c) { c.obs.audit = true; });
   FleetConfig ok;
   EXPECT_NO_THROW(ok.validate());
 }

@@ -186,9 +186,8 @@ TEST(FleetSimulation, CatalogValidation) {
 
 TEST(FleetSimulation, ObsContract) {
   FleetConfig cfg = small_cfg();
-  cfg.trace = true;
-  cfg.metrics = true;
-  cfg.node_obs = true;
+  cfg.obs.trace = true;
+  cfg.obs.metrics = true;
   FleetSimulation fleet(cfg, quads(2));
   const FleetResult r = fleet.run();
 
@@ -217,6 +216,29 @@ TEST(FleetSimulation, ObsContract) {
   ASSERT_EQ(r.node_obs.size(), 2u);
   EXPECT_EQ(r.node_obs[0]->run, 1);
   EXPECT_EQ(r.node_obs[1]->run, 2);
+}
+
+TEST(FleetSimulation, NodesCollectExactlyWhenMetricsAreOn) {
+  FleetConfig traced = small_cfg();
+  traced.obs.trace = true;
+  const FleetResult t = FleetSimulation(traced, quads(2)).run();
+  ASSERT_NE(t.obs, nullptr);
+  EXPECT_TRUE(t.node_obs.empty());
+
+  // Metrics plus a sampling fleet: every node keeps a registry and its own
+  // series at the fleet cadence, but never a trace.
+  FleetConfig sampled = small_cfg();
+  sampled.obs.metrics = true;
+  sampled.obs.timeseries.enabled = true;
+  sampled.obs.timeseries.window = milliseconds(20);
+  const FleetResult s = FleetSimulation(sampled, quads(2)).run();
+  ASSERT_EQ(s.node_obs.size(), 2u);
+  for (const auto& n : s.node_obs) {
+    EXPECT_TRUE(n->metrics_enabled);
+    EXPECT_TRUE(n->timeseries_enabled);
+    EXPECT_FALSE(n->trace_enabled);
+    EXPECT_EQ(n->timeseries.window, milliseconds(20));
+  }
 }
 
 TEST(FleetSimulation, ObsOffKeepsResultLean) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mini_json.h"
+#include "obs/exports.h"
 
 namespace sb::obs {
 namespace {
@@ -188,9 +189,10 @@ TEST(ChromeTrace, NullRunsAreSkipped) {
 
 TEST(ChromeTrace, UnwritablePathThrows) {
   const RunObs r = make_run(0, "x", 1);
-  EXPECT_THROW(
-      write_chrome_trace_file("/nonexistent-dir/trace.json", {&r}),
-      std::runtime_error);
+  Exports e;
+  e.trace = "/nonexistent-dir/trace.json";
+  std::ostringstream log;
+  EXPECT_THROW(e.write({&r}, log), std::runtime_error);
 }
 
 // --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // sbaudit — analyzer for SmartBalance prediction-audit exports.
 //
-// Reads one or more packed-CSV audit exports (written by sbsim --audit=,
-// Simulation::audit_path, or the bench sweeps' --audit=) and reports how
-// well the predictor and the SA optimizer actually did:
+// Reads one or more packed-CSV audit exports (written by sbsim --audit= or
+// the bench sweeps' --audit=) and reports how well the predictor and the
+// SA optimizer actually did:
 //
 //   * Fig.6-style aggregate prediction error (throughput and power)
 //   * per-(src,dst)-core-type residual tables and histograms

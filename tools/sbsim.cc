@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,10 +27,9 @@
 #include "common/spec.h"
 #include "core/predictor.h"
 #include "fleet/fleet.h"
-#include "obs/audit_writer.h"
+#include "obs/exports.h"
 #include "obs/slo.h"
 #include "obs/timeseries.h"
-#include "obs/trace.h"
 #include "os/dvfs_governor.h"
 #include "os/iks_balancer.h"
 #include "os/utilaware_balancer.h"
@@ -64,7 +64,12 @@ using namespace sb;
                             must be smartbalance or vanilla) fed by a bursty
                             Zipf job stream at <rate> jobs/s, placed by the
                             fleet dispatch <policy>: rr | least | energy.
-                            Excludes --bench/--mix/--bench-at/--compare.
+                            Excludes the workload flags (--bench, --mix,
+                            --bench-at, --thread-trace, --replay,
+                            --compare) and the single-node flags (--audit,
+                            --trace=<csv>, --thermal, --dvfs, --governor,
+                            --adapt, --shards, --faults, --defenses,
+                            --load-model, --save-model, --replay-ips).
                             e.g. --fleet=8:energy:450
   --duration-ms=<n>         simulated window (default 600)
   --seed=<n>                RNG seed (default 1234)
@@ -155,22 +160,18 @@ struct Args {
   std::string governor;
   bool thermal = false;
   std::string trace;         // per-core CSV time series
-  std::string chrome_trace;  // Chrome trace-event JSON (epoch tracer)
+  obs::Exports exports;      // --trace=*.json, --metrics=, --audit, ...
   bool metrics = false;
-  std::string metrics_out;   // standalone metrics JSON file
-  std::string audit;         // prediction-audit export (packed CSV)
-  std::string timeseries;    // #sb-tsdb export path (CSV, .json = JSON)
   std::string obs_window;    // TimeseriesConfig::parse spec ("<ms>[:cap]")
   std::string slo;           // SloConfig::parse spec
   bool slo_strict = false;   // exit 3 when any objective breached
-  std::string prom;          // Prometheus exposition snapshot (fleet only)
   std::string adapt;         // AdaptationConfig::parse spec
   std::string shards;        // ShardingConfig::parse spec
   std::string faults;        // FaultPlan::parse spec
   std::string defenses;      // auto | on | off
   std::vector<std::tuple<std::string, std::string, int>> thread_traces;
   std::string replay;          // sched-replay trace CSV (single-node)
-  double replay_ips = 1.0;     // compile calibration (instructions per ns)
+  std::optional<double> replay_ips;  // compile calibration (insts per ns)
   std::string fleet_arrivals;  // "mmpp" (default) or "replay:<csv>"
   std::string save_model;
   std::string load_model;
@@ -277,21 +278,21 @@ Args parse(int argc, char** argv) {
       // One flag, two formats: .json selects the epoch tracer's Chrome
       // trace-event output, anything else the legacy per-core CSV series.
       const std::string path = value("--trace=");
-      if (path.ends_with(".json")) a.chrome_trace = path;
+      if (path.ends_with(".json")) a.exports.trace = path;
       else a.trace = path;
     }
     else if (arg == "--metrics") a.metrics = true;
-    else if (arg.rfind("--metrics=", 0) == 0) {
-      a.metrics_out = value("--metrics=");
-      a.metrics = true;
-    } else if (arg.rfind("--audit=", 0) == 0) a.audit = value("--audit=");
+    else if (arg.rfind("--metrics=", 0) == 0)
+      a.exports.metrics = value("--metrics=");
+    else if (arg.rfind("--audit=", 0) == 0)
+      a.exports.audit = value("--audit=");
     else if (arg.rfind("--timeseries=", 0) == 0)
-      a.timeseries = value("--timeseries=");
+      a.exports.timeseries = value("--timeseries=");
     else if (arg.rfind("--obs-window=", 0) == 0)
       a.obs_window = value("--obs-window=");
     else if (arg.rfind("--slo=", 0) == 0) a.slo = value("--slo=");
     else if (arg == "--slo-strict") a.slo_strict = true;
-    else if (arg.rfind("--prom=", 0) == 0) a.prom = value("--prom=");
+    else if (arg.rfind("--prom=", 0) == 0) a.exports.prom = value("--prom=");
     else if (arg.rfind("--adapt=", 0) == 0) a.adapt = value("--adapt=");
     else if (arg.rfind("--shards=", 0) == 0) a.shards = value("--shards=");
     else if (arg.rfind("--faults=", 0) == 0) a.faults = value("--faults=");
@@ -303,9 +304,7 @@ Args parse(int argc, char** argv) {
       usage(2);
     }
   }
-  if (a.chrome_trace.empty()) {
-    if (const char* env = std::getenv("SB_TRACE")) a.chrome_trace = env;
-  }
+  a.exports.trace_from_env();
   if (!a.fleet.empty()) {
     // The fleet generates its own workload; the single-node workload flags
     // would silently do nothing, so reject the combination outright.
@@ -315,6 +314,28 @@ Args parse(int argc, char** argv) {
                    "combined with --bench/--mix/--bench-at/--thread-trace/"
                    "--replay/--compare\n";
       usage(2);
+    }
+    // The fleet builds every node itself (platform, policy and seed only),
+    // so a flag that shapes one node's run would do nothing either.
+    const std::pair<bool, const char*> node_only[] = {
+        {!a.exports.audit.empty(), "--audit"},
+        {!a.trace.empty(), "--trace (a per-core CSV path)"},
+        {a.thermal, "--thermal"},
+        {a.dvfs, "--dvfs"},
+        {!a.governor.empty(), "--governor"},
+        {!a.adapt.empty(), "--adapt"},
+        {!a.shards.empty(), "--shards"},
+        {!a.faults.empty(), "--faults"},
+        {!a.defenses.empty(), "--defenses"},
+        {!a.load_model.empty(), "--load-model"},
+        {!a.save_model.empty(), "--save-model"},
+        {a.replay_ips.has_value(), "--replay-ips"}};
+    for (const auto& [given, flag] : node_only) {
+      if (given) {
+        std::cerr << flag << " applies to a single-node run; --fleet "
+                     "cannot take it\n";
+        usage(2);
+      }
     }
   } else if (a.benches.empty() && a.mixes.empty() && a.arrivals.empty() &&
              a.thread_traces.empty() && a.replay.empty() &&
@@ -327,7 +348,7 @@ Args parse(int argc, char** argv) {
     std::cerr << "--fleet-arrivals only applies to --fleet runs\n";
     usage(2);
   }
-  if (!a.prom.empty() && a.fleet.empty()) {
+  if (!a.exports.prom.empty() && a.fleet.empty()) {
     std::cerr << "--prom only applies to --fleet runs\n";
     usage(2);
   }
@@ -335,7 +356,8 @@ Args parse(int argc, char** argv) {
     std::cerr << "--slo-strict requires --slo\n";
     usage(2);
   }
-  if (!a.obs_window.empty() && a.timeseries.empty() && a.slo.empty()) {
+  if (!a.obs_window.empty() && a.exports.timeseries.empty() &&
+      a.slo.empty()) {
     std::cerr << "--obs-window requires --timeseries or --slo\n";
     usage(2);
   }
@@ -392,10 +414,18 @@ core::SmartBalanceConfig sb_config(const Args& a) {
   return cfg;
 }
 
-obs::TimeseriesConfig ts_config(const Args& a) {
-  obs::TimeseriesConfig cfg;
-  if (!a.obs_window.empty()) cfg = obs::TimeseriesConfig::parse(a.obs_window);
-  cfg.enabled = true;
+/// The collectors a run needs: those the exports read, the registry for a
+/// bare --metrics, and the sampler cadence and objectives of --obs-window
+/// and --slo. Shared by single-node runs and the fleet.
+obs::ObsConfig obs_config(const Args& a) {
+  obs::ObsConfig cfg = a.exports.config();
+  cfg.metrics = cfg.metrics || a.metrics;
+  if (!a.obs_window.empty()) {
+    const auto tw = obs::TimeseriesConfig::parse(a.obs_window);
+    cfg.timeseries.window = tw.window;
+    cfg.timeseries.capacity = tw.capacity;
+  }
+  if (!a.slo.empty()) cfg.slo = obs::SloConfig::parse(a.slo);
   return cfg;
 }
 
@@ -462,17 +492,9 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
   cfg.kernel.enable_dvfs = a.dvfs;
   cfg.thermal_enabled = a.thermal;
   cfg.trace_path = a.trace;
-  // The merged Chrome trace (one process per policy under --compare) is
-  // written once from main(); here we only turn the tracer on.
-  cfg.obs.trace = !a.chrome_trace.empty();
-  cfg.obs.metrics = a.metrics;
-  cfg.obs.audit = !a.audit.empty();
-  // The merged #sb-tsdb export (one run block per policy under --compare)
-  // is written once from main(); here we only turn the sampler on.
-  if (!a.timeseries.empty() || !a.slo.empty()) {
-    cfg.obs.timeseries = ts_config(a);
-    if (!a.slo.empty()) cfg.obs.slo = obs::SloConfig::parse(a.slo);
-  }
+  // The merged exports (one run per policy under --compare) are written
+  // once from main(); here we only turn the collectors on.
+  cfg.obs = obs_config(a);
   sim::Simulation s(platform, cfg);
   s.set_balancer(policy_for(a, policy)(s));
   if (!a.governor.empty()) {
@@ -503,7 +525,7 @@ sim::SimulationResult run_once(const Args& a, const arch::Platform& platform,
   if (!a.replay.empty()) {
     const auto trace = workload::load_replay_trace_file(a.replay);
     workload::ReplayCompileOptions opts;
-    opts.ips_hint = a.replay_ips;
+    if (a.replay_ips) opts.ips_hint = *a.replay_ips;
     const std::size_t slash = a.replay.find_last_of('/');
     if (slash != std::string::npos) opts.base_dir = a.replay.substr(0, slash);
     s.add_replay(workload::compile_replay_schedule(trace, opts));
@@ -519,22 +541,9 @@ int run_fleet(const Args& a, const arch::Platform& platform) {
   cfg.seed = a.seed;
   cfg.node_policy = a.policy;  // validate() rejects anything but
                                // smartbalance/vanilla
-  cfg.trace = !a.chrome_trace.empty();
-  cfg.metrics = a.metrics;
-  cfg.node_obs = a.metrics;
-  cfg.timeseries = !a.timeseries.empty();
-  if (!a.obs_window.empty()) {
-    const obs::TimeseriesConfig tw = obs::TimeseriesConfig::parse(a.obs_window);
-    cfg.obs_window = tw.window;
-    cfg.obs_capacity = tw.capacity;
-  }
-  cfg.slo = a.slo;
-  if (!a.prom.empty()) {
-    // The exposition snapshot reads the metrics registries; collect them
-    // (and the per-node ones, for node="i" labels) even without --metrics.
-    cfg.metrics = true;
-    cfg.node_obs = true;
-  }
+  // --prom reads the registries, so it turns metrics on (and with them the
+  // per-node registries behind its node="i" labels) even without --metrics.
+  cfg.obs = obs_config(a);
   if (!a.fleet_arrivals.empty() && a.fleet_arrivals != "mmpp") {
     constexpr std::string_view kReplay = "replay:";
     if (a.fleet_arrivals.rfind(kReplay, 0) != 0 ||
@@ -571,34 +580,15 @@ int run_fleet(const Args& a, const arch::Platform& platform) {
   }
 
   // Observability exports: the fleet run is pid 0, nodes are pid 1..N.
-  std::vector<const obs::RunObs*> runs;
-  if (r.obs) runs.push_back(r.obs.get());
+  std::vector<const obs::RunObs*> runs = {r.obs.get()};
   for (const auto& n : r.node_obs) runs.push_back(n.get());
-  if (!a.chrome_trace.empty()) {
-    obs::write_chrome_trace_file(a.chrome_trace, runs);
-    std::cout << "trace written to " << a.chrome_trace << "\n";
-  }
-  if (!a.metrics_out.empty()) {
-    std::ofstream ms(a.metrics_out);
-    if (!ms) throw std::runtime_error("cannot write " + a.metrics_out);
-    obs::merge_metrics(runs).write_json(ms);
-    ms << '\n';
-    std::cout << "metrics written to " << a.metrics_out << "\n";
-  }
+  a.exports.write(runs, std::cout);
   if (!a.json_out.empty()) {
     std::ofstream js(a.json_out);
     if (!js) throw std::runtime_error("cannot write " + a.json_out);
     fleet::write_fleet_json(js, r);
     js << '\n';
     std::cout << "metrics written to " << a.json_out << "\n";
-  }
-  if (!a.timeseries.empty()) {
-    obs::write_timeseries_file(a.timeseries, runs);
-    std::cout << "timeseries written to " << a.timeseries << "\n";
-  }
-  if (!a.prom.empty()) {
-    obs::write_prometheus_file(a.prom, runs);
-    std::cout << "prometheus snapshot written to " << a.prom << "\n";
   }
   if (a.slo_strict) return strict_exit(runs);
   return 0;
@@ -653,36 +643,15 @@ int main(int argc, char** argv) {
     }
     // Merged per-policy observability exports: run index = policy order.
     std::vector<const obs::RunObs*> runs;
-    if (!a.chrome_trace.empty() || !a.audit.empty() ||
-        !a.metrics_out.empty() || !a.timeseries.empty() || !a.slo.empty()) {
-      int idx = 0;
-      for (auto& r : results) {
-        if (r.obs) {
-          r.obs->run = idx++;
-          r.obs->label = r.policy;
-          runs.push_back(r.obs.get());
-        }
+    int idx = 0;
+    for (auto& r : results) {
+      if (r.obs) {
+        r.obs->run = idx++;
+        r.obs->label = r.policy;
+        runs.push_back(r.obs.get());
       }
     }
-    if (!a.chrome_trace.empty()) {
-      obs::write_chrome_trace_file(a.chrome_trace, runs);
-      std::cout << "trace written to " << a.chrome_trace << "\n";
-    }
-    if (!a.audit.empty()) {
-      obs::write_audit_file(a.audit, runs);
-      std::cout << "audit export written to " << a.audit << "\n";
-    }
-    if (!a.timeseries.empty()) {
-      obs::write_timeseries_file(a.timeseries, runs);
-      std::cout << "timeseries written to " << a.timeseries << "\n";
-    }
-    if (!a.metrics_out.empty()) {
-      std::ofstream ms(a.metrics_out);
-      if (!ms) throw std::runtime_error("cannot write " + a.metrics_out);
-      obs::merge_metrics(runs).write_json(ms);
-      ms << '\n';
-      std::cout << "metrics written to " << a.metrics_out << "\n";
-    }
+    a.exports.write(runs, std::cout);
     if (!a.json_out.empty()) {
       std::ofstream js(a.json_out);
       if (!js) throw std::runtime_error("cannot write " + a.json_out);
